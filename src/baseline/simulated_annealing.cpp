@@ -1,7 +1,6 @@
 #include "baseline/simulated_annealing.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>

@@ -4,43 +4,26 @@
 #include "core/initial_mapping.h"
 #include "core/lazy_scaling_queue.h"
 #include "core/observer.h"
+#include "core/replay_ledger.h"
 #include "core/scaling_bounds.h"
 #include "core/search_strategy.h"
-#include "util/error.h"
 #include "util/float_compare.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <limits>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 namespace seamap {
 
 namespace {
-
-/// Decided design of one *feasible* scaling combination, keyed by its
-/// enumeration rank in a sparse map so the end-of-run fold still walks
-/// feasible points in enumeration order regardless of thread count.
-/// Pruned / gate-skipped / searched-but-empty decisions carry no design
-/// and fold into plain counters instead: resident memory tracks the
-/// slots actually decided, never the full combination space (which at
-/// giant instances — C(69,5) and up — would dwarf the frontier the
-/// lazy enumeration is meant to bound).
-struct FeasibleOutcome {
-    DsePoint point;
-    /// Folded min-power side channel (DseParams::search.track_min_power).
-    DsePoint min_power_point;
-    bool has_min_power = false;
-};
 
 /// Deterministic best-of-K fold over a scaling's multi-start results:
 /// feasibility first, then the search objective (fewest expected SEUs),
@@ -113,17 +96,39 @@ std::optional<DsePoint> select_best(const std::vector<DsePoint>& front, double t
     return *best;
 }
 
-/// How far the lazy producer may run ahead of the replayed prefix, in
-/// pop-order slots. The pop-time disposal decision for slot p consults
-/// the replay front of exactly the first p - k_disposal_window slots —
-/// a prefix that is fully decided by the time the producer needs it —
-/// so which slots get searches submitted (scalings_emitted) is a pure
-/// function of the problem at every thread count, while still keeping
-/// up to a window of searches in flight. Thread-count *independent* on
-/// purpose: scaling it with num_threads would make emission counts
-/// differ between runs. 64 comfortably feeds any sane worker count and
-/// keeps at most a window of per-slot case-bound lists alive at once.
-constexpr std::size_t k_disposal_window = 64;
+/// One emitted slot's searches, shared by its start jobs. Each start
+/// writes only its own `results` entry; the other fields are guarded by
+/// the explorer's mutex, which also orders every start before the last
+/// one to finish — the one that builds the slot's verdict.
+struct SlotSearch {
+    std::size_t pos = 0; ///< ReplayLedger handle
+    std::uint64_t rank = 0;
+    ScalingVector levels;
+    std::vector<LocalSearchResult> results; ///< one per start
+    std::size_t starts_done = 0;
+    bool pruned = false; ///< a start was skipped as dominated
+    bool cut = false;    ///< a stop left some start unsearched
+};
+
+/// The slot's verdict, built once from its finished starts (pure).
+DseSlotRecord slot_verdict(const SlotSearch& search) {
+    DseSlotRecord verdict;
+    verdict.combo = search.rank;
+    if (search.pruned) return verdict;
+    const LocalSearchResult& folded = fold_starts(search.results);
+    if (!folded.found_feasible) {
+        verdict.kind = DseSlotRecord::Kind::no_design;
+        return verdict;
+    }
+    verdict.kind = DseSlotRecord::Kind::feasible;
+    verdict.point = {search.levels, folded.best_mapping, folded.best_metrics};
+    if (const LocalSearchResult* cheapest = fold_min_power(search.results)) {
+        verdict.min_power_point = {search.levels, cheapest->min_power_mapping,
+                                   cheapest->min_power_metrics};
+        verdict.has_min_power = true;
+    }
+    return verdict;
+}
 
 } // namespace
 
@@ -154,22 +159,16 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // priority queue (core/lazy_scaling_queue.h) — the full sequence is
     // never materialized and, with pruning on, dominated slots are
     // disposed of at pop time before their searches are ever submitted.
-    // Outcome storage is sparse for the same reason: feasible designs
-    // land in a rank-keyed map (walked in enumeration order by the
-    // final fold) and everything else folds into counters, so workers
-    // may finish out of order yet the result stays independent of the
-    // thread count (absent wall-clock cuts) while resident memory
-    // tracks decided slots, not queue.total().
+    // Every slot decision happens in the ReplayLedger, in pop order
+    // (core/replay_ledger.h); this function only produces slots, runs
+    // their searches and streams progress.
     const std::optional<ScalingBoundsModel> bounds_model =
         params.prune ? std::optional<ScalingBoundsModel>(std::in_place, graph, arch,
                                                          deadline_seconds, ser_, policy_)
                      : std::nullopt;
     LazyScalingQueue queue(graph, arch, deadline_seconds,
                            bounds_model ? &*bounds_model : nullptr);
-    std::map<std::uint64_t, FeasibleOutcome> feasible_outcomes; // under bb_mutex
-    std::uint64_t skipped_count = 0;   ///< gate skips; producer thread only
-    std::uint64_t pruned_count = 0;    ///< replay-pruned; under bb_mutex
-    std::uint64_t no_design_count = 0; ///< searched, empty; under bb_mutex
+    std::uint64_t skipped_count = 0; ///< gate skips; producer thread only
 
     const std::size_t starts = std::max<std::size_t>(1, params.multi_start);
     const double tie = std::max(0.0, params.power_tie_tolerance);
@@ -184,244 +183,73 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     DominanceFront observed_front; // strict-dominance filter for arrivals
     std::optional<DsePoint> observed_best;
     if (observer != nullptr) observer->on_explore_begin(queue.total());
+    // Streams one finished scaling; `verdict` is null for a gate skip.
     auto notify = [&](std::uint64_t rank, const ScalingVector& levels,
-                      ScalingProgress::Outcome outcome, const DsePoint* point) {
+                      const DseSlotRecord* verdict) {
         if (observer == nullptr) return;
         std::lock_guard lock(observer_mutex);
         ScalingProgress progress;
         progress.index = rank;
         progress.total = queue.total();
         progress.levels = levels;
-        progress.outcome = outcome;
-        if (point != nullptr) progress.metrics = point->metrics;
+        using Kind = DseSlotRecord::Kind;
+        using Outcome = ScalingProgress::Outcome;
+        progress.outcome = verdict == nullptr                ? Outcome::skipped_infeasible
+                           : verdict->kind == Kind::pruned    ? Outcome::pruned
+                           : verdict->kind == Kind::no_design ? Outcome::searched_no_design
+                                                              : Outcome::feasible;
+        if (progress.outcome == Outcome::feasible) progress.metrics = verdict->point.metrics;
         observer->on_scaling_done(progress);
-        if (point == nullptr) return;
+        if (progress.outcome != Outcome::feasible) return;
         // A strictly dominated arrival can never enter any current or
         // future Pareto front (its dominator is retained), so the
         // fold's result cannot change: skip the O(n log n) recompute.
         // Keeps the serialized incumbent stream cheap when most
         // completions are dominated (the common case at scale).
-        if (observed_front.dominates(
-                ScalingBounds{point->metrics.power_mw, point->metrics.gamma}))
-            return;
-        observed_front.insert(point->metrics.power_mw, point->metrics.gamma);
-        observed_points.push_back(*point);
+        const DesignMetrics& metrics = progress.metrics;
+        if (observed_front.dominates(ScalingBounds{metrics.power_mw, metrics.gamma})) return;
+        observed_front.insert(metrics.power_mw, metrics.gamma);
+        observed_points.push_back(DsePoint{levels, verdict->point.mapping, metrics});
         std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points), tie);
-        const bool changed =
-            incumbent &&
-            (!observed_best || incumbent->levels != observed_best->levels ||
-             incumbent->mapping != observed_best->mapping ||
-             !exactly_equal(incumbent->metrics.power_mw, observed_best->metrics.power_mw) ||
-             !exactly_equal(incumbent->metrics.gamma, observed_best->metrics.gamma));
+        // A design's metrics are a pure function of (levels, mapping).
+        const bool changed = incumbent && (!observed_best ||
+                                           incumbent->levels != observed_best->levels ||
+                                           incumbent->mapping != observed_best->mapping);
         if (changed) {
             observed_best = std::move(incumbent);
             observer->on_incumbent(*observed_best);
         }
     };
 
-    // --- shared branch-and-bound state --------------------------------
-    // One slot per gate-passing pop, in pop order (std::deque: grows
-    // under the lock while workers hold references to earlier slots).
-    struct SearchSlot {
-        std::uint64_t rank = 0; ///< enumeration index
-        ScalingVector levels;
-        /// One bound pair per admissible powered-core case; the slot
-        /// is prunable only when every case is strictly dominated.
-        /// Freed as soon as the replay decides the slot, so only a
-        /// window of case lists is ever alive.
-        std::vector<ScalingBounds> cases;
-        std::vector<LocalSearchResult> start_results;
-        std::vector<unsigned char> start_ran; ///< 1 = searched or prune-skipped
-        /// Resume: the checkpointed replay decision for this slot.
-        const DseSlotRecord* record = nullptr;
-        bool disposed = false; ///< dropped at pop time (lagged front)
-        bool runtime_pruned = false;
-        bool completed = false;
-        std::size_t starts_done = 0;
-        /// The replay's verdict, kept on the slot so the lagged
-        /// disposal front can be advanced without a dense outcome
-        /// array: set iff the replay decided this slot feasible.
-        bool replay_feasible = false;
-        double replay_power = 0.0;
-        double replay_gamma = 0.0;
-    };
-    std::deque<SearchSlot> slots;
+    // bb_mutex serializes every ledger call and the SlotSearch
+    // bookkeeping; replay_cv signals the producer that the replay may
+    // have advanced (or the run is stopping).
+    ReplayLedger ledger(checkpoint);
     std::mutex bb_mutex;
-    std::condition_variable replay_cv; ///< signals `replayed` advances
-    // The incremental sequential replay: decides slots[0..replayed) in
-    // pop order exactly as the end-of-run merge used to, maintaining
-    // the front of surviving folded designs. Workers consult it for
-    // opportunistic pruning (their view is a prefix of what the full
-    // replay will know, so worker pruning stays a subset of replay
-    // pruning) and the checkpoint records are its decisions verbatim.
-    DominanceFront replay_front;
-    std::size_t replayed = 0;
-    // The *lagged* copy the producer's deterministic disposal uses:
-    // advanced to exactly the prefix the window rule calls for, never
-    // further, so disposal decisions are timing-independent.
-    DominanceFront disposal_front;
-    std::size_t disposal_advanced = 0;
-    bool recording_stopped = false;
-    bool bounds_unsound = false;
-    std::exception_ptr search_error;
-    std::uint64_t emitted = 0;
-
-    // A slot is prunable when every powered-core case is strictly
-    // dominated by some incumbent (different cases may fall to
-    // different incumbents); an empty case list means the capacity
-    // pre-filter could not even place the work — left to the search.
-    auto front_prunes = [](const DominanceFront& front,
-                           const std::vector<ScalingBounds>& cases) {
-        if (cases.empty()) return false;
-        return std::all_of(cases.begin(), cases.end(), [&](const ScalingBounds& bounds) {
-            return front.dominates(bounds);
-        });
+    std::condition_variable replay_cv;
+    std::exception_ptr first_error; // under bb_mutex
+    // A throwing strategy (or a ledger invariant violation) must not
+    // strand the producer waiting on completions that will never come:
+    // keep the first error, stop the exploration cooperatively, and
+    // rethrow once the pool drains.
+    auto fail = [&](std::exception_ptr error) {
+        std::lock_guard lock(bb_mutex);
+        if (first_error == nullptr) first_error = std::move(error);
+        stop.request_stop();
     };
 
-    const DseResumeState* resume =
-        checkpoint != nullptr ? checkpoint->resume_state() : nullptr;
-    const std::vector<DseSlotRecord>* records = resume != nullptr ? &resume->records : nullptr;
-    std::size_t next_record = 0;
-
-    // Advance the replay over the contiguous completed prefix. Called
-    // with bb_mutex held. Mirrors the old end-of-run merge exactly: a
-    // stop-cut slot stays not_run (and ends the recordable prefix —
-    // nothing after it is replay-stable in a snapshot) but later slots
-    // are still decided against the front without it.
-    auto advance_replay = [&] {
-        const bool advanced = replayed < slots.size() && slots[replayed].completed;
-        while (replayed < slots.size() && slots[replayed].completed) {
-            SearchSlot& slot = slots[replayed];
-            if (slot.record != nullptr) {
-                // Restored decision: replay it from the snapshot.
-                const DseSlotRecord& record = *slot.record;
-                switch (record.kind) {
-                case DseSlotRecord::Kind::pruned:
-                    ++pruned_count;
-                    break;
-                case DseSlotRecord::Kind::no_design:
-                    ++no_design_count;
-                    break;
-                case DseSlotRecord::Kind::feasible: {
-                    FeasibleOutcome outcome;
-                    outcome.point.levels = slot.levels;
-                    outcome.point.mapping = record.point.mapping;
-                    outcome.point.metrics = record.point.metrics;
-                    if (record.has_min_power) {
-                        outcome.min_power_point.levels = slot.levels;
-                        outcome.min_power_point.mapping = record.min_power_point.mapping;
-                        outcome.min_power_point.metrics = record.min_power_point.metrics;
-                        outcome.has_min_power = true;
-                    }
-                    slot.replay_feasible = true;
-                    slot.replay_power = record.point.metrics.power_mw;
-                    slot.replay_gamma = record.point.metrics.gamma;
-                    replay_front.insert(record.point.metrics.power_mw,
-                                        record.point.metrics.gamma);
-                    feasible_outcomes.emplace(slot.rank, std::move(outcome));
-                    break;
-                }
-                }
-            } else {
-                const bool fully_ran =
-                    !slot.start_ran.empty() &&
-                    std::all_of(slot.start_ran.begin(), slot.start_ran.end(),
-                                [](unsigned char ran) { return ran == 1; });
-                DseSlotRecord record;
-                record.combo = slot.rank;
-                bool recordable = false;
-                if (slot.disposed ||
-                    (params.prune && front_prunes(replay_front, slot.cases))) {
-                    // A disposed slot's replay front is a superset of
-                    // the lagged front that disposed it, so the replay
-                    // verdict is already known (dominance is monotone).
-                    ++pruned_count;
-                    record.kind = DseSlotRecord::Kind::pruned;
-                    recordable = true;
-                } else if (!fully_ran) {
-                    // Stop cut this slot: stays not_run.
-                    recording_stopped = true;
-                } else if (slot.runtime_pruned) {
-                    // Worker pruned a slot the replay keeps: the bounds
-                    // are unsound. Surfaced after the pool drains.
-                    bounds_unsound = true;
-                    recording_stopped = true;
-                } else {
-                    const LocalSearchResult& folded = fold_starts(slot.start_results);
-                    if (folded.found_feasible) {
-                        FeasibleOutcome outcome;
-                        outcome.point.levels = slot.levels;
-                        outcome.point.mapping = folded.best_mapping;
-                        outcome.point.metrics = folded.best_metrics;
-                        record.kind = DseSlotRecord::Kind::feasible;
-                        record.point = outcome.point;
-                        if (const LocalSearchResult* cheapest =
-                                fold_min_power(slot.start_results)) {
-                            outcome.min_power_point.levels = slot.levels;
-                            outcome.min_power_point.mapping = cheapest->min_power_mapping;
-                            outcome.min_power_point.metrics = cheapest->min_power_metrics;
-                            outcome.has_min_power = true;
-                            record.min_power_point = outcome.min_power_point;
-                            record.has_min_power = true;
-                        }
-                        slot.replay_feasible = true;
-                        slot.replay_power = folded.best_metrics.power_mw;
-                        slot.replay_gamma = folded.best_metrics.gamma;
-                        replay_front.insert(folded.best_metrics.power_mw,
-                                            folded.best_metrics.gamma);
-                        feasible_outcomes.emplace(slot.rank, std::move(outcome));
-                    } else {
-                        ++no_design_count;
-                        record.kind = DseSlotRecord::Kind::no_design;
-                    }
-                    recordable = true;
-                }
-                if (checkpoint != nullptr && recordable && !recording_stopped)
-                    checkpoint->record(record);
-            }
-            // The replay is this slot's last reader: drop the bound
-            // cases and search results, keep the cheap outcome.
-            slot.cases = {};
-            slot.start_results = {};
-            ++replayed;
-        }
-        if (advanced) replay_cv.notify_all();
-    };
-
-    // Advance the disposal front to exactly `prefix` decided slots
-    // (never further). Called with bb_mutex held, prefix <= replayed.
-    auto advance_disposal_to = [&](std::size_t prefix) {
-        while (disposal_advanced < prefix) {
-            const SearchSlot& slot = slots[disposal_advanced];
-            if (slot.replay_feasible)
-                disposal_front.insert(slot.replay_power, slot.replay_gamma);
-            ++disposal_advanced;
-        }
-    };
-
-    // The slot reference is resolved by the producer while it still
-    // holds bb_mutex and passed in directly: deque element references
-    // are stable across emplace_back, but slots::operator[] traverses
-    // the deque's node map, which a concurrent emplace_back may be
-    // reallocating — workers must never index the deque unlocked.
-    auto run_start = [&](SearchSlot& slot, std::size_t start_index) {
-        bool searched = false;
+    auto run_start = [&](SlotSearch& search, std::size_t start_index) {
+        bool ran = false; // searched in full, or skipped as dominated
         if (!stop.stop_requested()) {
-            bool do_search = true;
-            if (params.prune) {
+            {
                 std::lock_guard lock(bb_mutex);
-                if (slot.runtime_pruned) {
-                    do_search = false;
-                } else if (front_prunes(replay_front, slot.cases)) {
-                    slot.runtime_pruned = true;
-                    do_search = false;
-                }
+                search.pruned = search.pruned || ledger.dominated(search.pos);
+                ran = search.pruned;
             }
-            if (do_search) {
+            if (!ran) {
                 try {
-                    const ScalingVector& levels = slot.levels;
-                    EvaluationContext ctx{graph, arch, levels, SeuEstimator(ser_, policy_),
-                                          deadline_seconds};
+                    EvaluationContext ctx{graph, arch, search.levels,
+                                          SeuEstimator(ser_, policy_), deadline_seconds};
                     // The reusable per-start evaluation engine this
                     // worker's search runs on: preallocated scratch,
                     // incremental rescheduling and the memo table all
@@ -436,64 +264,36 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     // start 0 keeps the historic derivation so
                     // multi_start == 1 is unchanged.
                     std::uint64_t level_hash = 0xcbf29ce484222325ULL;
-                    for (ScalingLevel level : levels)
+                    for (ScalingLevel level : search.levels)
                         level_hash = splitmix64(level_hash ^ level);
                     std::uint64_t seed = splitmix64(params.search.seed ^ level_hash);
                     if (start_index > 0)
                         seed = splitmix64(seed + 0x9e3779b97f4a7c15ULL * start_index);
-                    slot.start_results[start_index] =
-                        strategy.search(eval, initial, seed, &stop);
-                    searched = true;
+                    search.results[start_index] = strategy.search(eval, initial, seed, &stop);
+                    // A stop landing while the search ran may have cut
+                    // it short, leaving a partial (non-replay-faithful)
+                    // result: the slot then stays not_run and a resume
+                    // re-searches it in full.
+                    ran = !stop.stop_requested();
                 } catch (...) {
-                    // A throwing strategy must not strand the producer
-                    // waiting on completions that will never come:
-                    // capture the first error, stop the exploration
-                    // cooperatively, and let the slot finish as
-                    // not_run. Rethrown once the pool drains.
-                    std::lock_guard lock(bb_mutex);
-                    if (search_error == nullptr) search_error = std::current_exception();
-                    stop.request_stop();
+                    fail(std::current_exception());
                 }
             }
-            // A stop landing while the search ran may have cut it short,
-            // leaving a partial (non-replay-faithful) result: discard it
-            // — the slot stays not_run and a resume re-searches it in
-            // full. Prune skips carry no search data and stay valid.
-            std::lock_guard lock(bb_mutex);
-            if (!searched || !stop.stop_requested()) slot.start_ran[start_index] = 1;
         }
-
-        // Completion bookkeeping: the last start of a slot decides its
-        // live outcome and extends the sequential replay.
-        ScalingProgress::Outcome live_outcome = ScalingProgress::Outcome::pruned;
-        const DsePoint* live_point = nullptr;
-        DsePoint folded_point;
-        bool completed_now = false;
-        {
+        // The last start builds its slot's verdict, once, and hands it
+        // to the ledger.
+        std::optional<DseSlotRecord> verdict;
+        try {
             std::lock_guard lock(bb_mutex);
-            if (++slot.starts_done < starts) return;
-            slot.completed = true;
-            const bool fully_ran =
-                std::all_of(slot.start_ran.begin(), slot.start_ran.end(),
-                            [](unsigned char ran) { return ran == 1; });
-            if (fully_ran) {
-                completed_now = true;
-                if (!slot.runtime_pruned) {
-                    const LocalSearchResult& folded = fold_starts(slot.start_results);
-                    if (folded.found_feasible) {
-                        folded_point.levels = slot.levels;
-                        folded_point.mapping = folded.best_mapping;
-                        folded_point.metrics = folded.best_metrics;
-                        live_outcome = ScalingProgress::Outcome::feasible;
-                        live_point = &folded_point;
-                    } else {
-                        live_outcome = ScalingProgress::Outcome::searched_no_design;
-                    }
-                }
-            }
-            advance_replay();
+            search.cut = search.cut || !ran;
+            if (++search.starts_done < starts) return;
+            if (!search.cut) verdict = slot_verdict(search);
+            ledger.complete(search.pos, verdict);
+        } catch (...) {
+            fail(std::current_exception());
         }
-        if (completed_now) notify(slot.rank, slot.levels, live_outcome, live_point);
+        replay_cv.notify_all();
+        if (verdict) notify(search.rank, search.levels, &*verdict);
         if (checkpoint != nullptr) checkpoint->maybe_flush();
     };
 
@@ -501,22 +301,20 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // The producer (this thread) pops slots from the lazy queue while
     // the pool runs searches. For each gate-passing pop it recomputes
     // the per-case bounds, waits until the replay covers the disposal
-    // window's prefix, and either disposes of the slot (provably
-    // dominated — counted pruned, never searched) or emits it.
+    // window, and admits the slot to the ledger, which restores it from
+    // the checkpoint, disposes of it (provably dominated — counted
+    // pruned, never searched) or lets it be searched.
     if (!stop.stop_requested()) {
         ThreadPool pool(ThreadPool::resolve_thread_count(params.num_threads));
+        const DseSlotRecord disposed_verdict; // kind pruned
         while (!stop.stop_requested()) {
             std::optional<LazyScalingQueue::Slot> popped = queue.pop();
             if (!popped) break;
-            const std::uint64_t rank = popped->rank;
             if (!popped->gate_passed) {
                 // Gate skips are free: count and stream them right
-                // here, ahead of any search. (Producer-only counter —
-                // gate-skipped ranks never enter `slots`, so no other
-                // thread ever touches them.)
+                // here, ahead of any search.
                 ++skipped_count;
-                notify(rank, popped->levels, ScalingProgress::Outcome::skipped_infeasible,
-                       nullptr);
+                notify(popped->rank, popped->levels, nullptr);
                 continue;
             }
             // The queue only kept the corner (storing every generated
@@ -524,112 +322,38 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             // the full per-case list is recomputed for the pop.
             std::vector<ScalingBounds> cases;
             if (bounds_model) cases = bounds_model->case_bounds_for(popped->levels);
-
-            bool disposed = false;
-            bool emitted_now = false;
-            std::size_t pos = 0;
-            SearchSlot* slot_ptr = nullptr;
+            ReplayLedger::Admission admission;
             {
                 std::unique_lock lock(bb_mutex);
-                pos = slots.size();
-                const std::size_t need =
-                    pos > k_disposal_window ? pos - k_disposal_window : 0;
-                replay_cv.wait(lock,
-                               [&] { return replayed >= need || stop.stop_requested(); });
+                replay_cv.wait(
+                    lock, [&] { return ledger.ready_to_admit() || stop.stop_requested(); });
                 if (stop.stop_requested()) break;
-                advance_disposal_to(need);
-                if (params.prune) disposed = front_prunes(disposal_front, cases);
-                if (!disposed) {
-                    ++emitted;
-                    emitted_now = true;
-                }
-                const DseSlotRecord* record = nullptr;
-                if (records != nullptr && next_record < records->size()) {
-                    record = &(*records)[next_record];
-                    if (record->combo != rank)
-                        throw Error(ErrorCategory::checkpoint_mismatch,
-                                    "checkpoint slot order diverges at decided slot " +
-                                        std::to_string(next_record) +
-                                        " (stored combination " +
-                                        std::to_string(record->combo) + ", produced " +
-                                        std::to_string(rank) + ")",
-                                    checkpoint->path());
-                    ++next_record;
-                }
-                slots.emplace_back();
-                SearchSlot& slot = slots.back();
-                slot_ptr = &slot;
-                slot.rank = rank;
-                slot.levels = std::move(popped->levels);
-                if (record != nullptr) {
-                    // Restored: the snapshot already holds this slot's
-                    // replay decision; nothing runs.
-                    slot.record = record;
-                    slot.completed = true;
-                    advance_replay();
-                    continue;
-                }
-                slot.cases = std::move(cases);
-                if (disposed) {
-                    slot.disposed = true;
-                    slot.completed = true;
-                    advance_replay();
-                } else {
-                    slot.start_results.resize(starts);
-                    slot.start_ran.assign(starts, 0);
-                }
+                admission = ledger.admit(popped->rank, popped->levels, std::move(cases));
             }
-            if (disposed) {
-                notify(rank, slot_ptr->levels, ScalingProgress::Outcome::pruned, nullptr);
+            if (admission.restored != nullptr || admission.disposed) {
+                notify(popped->rank, popped->levels,
+                       admission.restored != nullptr ? admission.restored : &disposed_verdict);
                 if (checkpoint != nullptr) checkpoint->maybe_flush();
                 continue;
             }
-            if (emitted_now)
-                for (std::size_t r = 0; r < starts; ++r)
-                    pool.submit(pos, [&, slot_ptr, r] { run_start(*slot_ptr, r); });
+            auto search = std::make_shared<SlotSearch>();
+            search->pos = admission.pos;
+            search->rank = popped->rank;
+            search->levels = std::move(popped->levels);
+            search->results.resize(starts);
+            for (std::size_t r = 0; r < starts; ++r)
+                pool.submit(admission.pos, [&, search, r] { run_start(*search, r); });
         }
         pool.wait_idle();
     }
-    {
-        // Quiescent now: every created slot is completed (the pool ran
-        // all submitted starts), so this sweeps the replay to the end.
-        std::lock_guard lock(bb_mutex);
-        advance_replay();
-        if (search_error != nullptr) std::rethrow_exception(search_error);
-    }
+    // Quiescent now: every admitted slot completed, so the ledger has
+    // decided the whole admitted sequence.
+    if (first_error != nullptr) std::rethrow_exception(first_error);
     // Persist whatever the run decided — on a stop this is the snapshot
     // a resume continues from; on completion it doubles as a memoized
     // result (a resume replays it without searching).
     if (checkpoint != nullptr) checkpoint->flush();
-    if (bounds_unsound)
-        throw std::logic_error(
-            "DesignSpaceExplorer: worker pruned a slot the deterministic replay "
-            "keeps — scaling bounds are unsound");
-    if (records != nullptr && next_record < records->size() && !stop.stop_requested())
-        throw Error(ErrorCategory::checkpoint_mismatch,
-                    "checkpoint holds " + std::to_string(records->size()) +
-                        " decided slots but this exploration produced only " +
-                        std::to_string(next_record),
-                    checkpoint->path());
-
-    // Deterministic fold: the counters are order-independent sums and
-    // the rank-keyed map iterates in ascending enumeration rank, so the
-    // feasible/min-power point order is byte-identical to the old dense
-    // rank-indexed sweep at any thread count.
-    DseResult result;
-    result.scalings_total = queue.total();
-    result.scalings_emitted = emitted;
-    result.scalings_skipped_infeasible = skipped_count;
-    result.scalings_pruned = pruned_count;
-    result.scalings_searched =
-        no_design_count + static_cast<std::uint64_t>(feasible_outcomes.size());
-    result.scalings_enumerated = skipped_count + pruned_count + result.scalings_searched;
-    for (auto& [rank, outcome] : feasible_outcomes) {
-        (void)rank;
-        result.feasible_points.push_back(std::move(outcome.point));
-        if (outcome.has_min_power)
-            result.min_power_points.push_back(std::move(outcome.min_power_point));
-    }
+    DseResult result = ledger.fold(queue.total(), skipped_count, stop.stop_requested());
 
     // Step 3: iterative assessment — among feasible designs pick
     // minimum power, breaking near-ties by Gamma. Applied to the front,

@@ -24,14 +24,13 @@
 // evaluated design beats its *lower bounds* strictly in both power and
 // Gamma — every design it could contain is then strictly dominated, so
 // `best` and `pareto_front` are bit-identical to the exhaustive run.
-// Determinism: a sequential replay decides every slot in pop order
-// (itself a pure function of the problem) from the recorded outcomes,
-// so which combinations count as pruned (and therefore feasible_points
-// and every counter) is a pure function of the problem — identical at
-// every thread count. Pop-time disposal consults the replay front at a
-// fixed lag (never the racing live front), and worker-side pruning
-// against the replay front is only ever a subset of the full replay's
-// (a search the replay prunes is discarded as speculative).
+// Determinism: every slot is decided by the single-threaded
+// ReplayLedger (core/replay_ledger.h) in pop order — itself a pure
+// function of the problem — from the slots' folded search outcomes, so
+// which combinations count as pruned (and therefore feasible_points and
+// every counter) is identical at every thread count. Worker threads
+// only search; explore() is the concurrent shell that produces slots,
+// runs their searches and streams progress.
 #pragma once
 
 #include "arch/mpsoc.h"

@@ -2,7 +2,7 @@
 // (core/dse.h), built on the generic snapshot layer (util/checkpoint.h).
 //
 // What is persisted — and why it is exactly resumable: the explorer's
-// merge replays prune decisions sequentially in slot pop order,
+// ReplayLedger (core/replay_ledger.h) decides slots in pop order,
 // and each slot's replay decision depends only on the folded outcomes
 // of *earlier* slots. The contiguous prefix of decided slots is
 // therefore replay-stable: record each prefix slot's replay outcome

@@ -53,7 +53,8 @@ public:
     /// combination reported `feasible` here can still be dropped from
     /// the final feasible_points when the deterministic merge replay
     /// proves it dominated (its design never reaches the front or the
-    /// pick either way).
+    /// pick either way). A resumed exploration reports the slots it
+    /// restored from the checkpoint too, with their recorded outcome.
     virtual void on_scaling_done(const ScalingProgress& progress);
 
     /// A new best-so-far feasible design: the paper's selection rule

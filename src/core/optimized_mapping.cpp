@@ -3,7 +3,6 @@
 #include "util/float_compare.h"
 #include "util/rng.h"
 
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>

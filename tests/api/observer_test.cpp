@@ -2,7 +2,8 @@
 // explorer: every finished scaling is reported exactly once, the
 // streamed incumbent follows the paper's selection rule (and equals
 // the final best when completion order is enumeration order, i.e. one
-// thread), callbacks never run concurrently, and cancellation stops
+// thread), callbacks never run concurrently, a resumed exploration
+// reports its checkpoint-restored prefix too, and cancellation stops
 // the exploration cooperatively with a well-formed partial result.
 #include "seamap/seamap.h"
 
@@ -12,6 +13,7 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 #include <mutex>
+#include <string>
 #include <vector>
 
 namespace seamap {
@@ -102,6 +104,81 @@ TEST(ProgressObserver, SerialIncumbentStreamEndsAtTheFinalBest) {
     EXPECT_EQ(last.mapping, result.best->mapping);
     EXPECT_EQ(last.metrics.power_mw, result.best->metrics.power_mw);
     EXPECT_EQ(last.metrics.gamma, result.best->metrics.gamma);
+}
+
+/// Stops the exploration after `after` reported scalings, like a
+/// SIGINT landing mid-run.
+class StopAfterObserver : public ProgressObserver {
+public:
+    StopAfterObserver(CancellationToken& cancel, std::size_t after)
+        : cancel_(cancel), after_(after) {}
+    void on_scaling_done(const ScalingProgress&) override {
+        if (++seen_ >= after_) cancel_.request_stop();
+    }
+
+private:
+    CancellationToken& cancel_;
+    std::size_t after_;
+    std::size_t seen_ = 0;
+};
+
+/// A resumed exploration reports its restored prefix like live work:
+/// every enumerated scaling exactly once, and the streamed incumbent
+/// ends at the final best.
+void expect_resume_streams_everything(const DseResult& result,
+                                      const RecordingObserver& observer) {
+    EXPECT_EQ(observer.done.size(), result.scalings_enumerated);
+    ASSERT_TRUE(result.best.has_value());
+    ASSERT_FALSE(observer.incumbents.empty());
+    const DsePoint& last = observer.incumbents.back();
+    EXPECT_EQ(last.levels, result.best->levels);
+    EXPECT_EQ(last.mapping, result.best->mapping);
+    EXPECT_EQ(last.metrics.power_mw, result.best->metrics.power_mw);
+    EXPECT_EQ(last.metrics.gamma, result.best->metrics.gamma);
+}
+
+TEST(ProgressObserver, MemoizedResumeReportsTheRestoredSlots) {
+    const Problem problem = fig8_problem();
+    const ExploreOptions options = quick_options(1);
+    const std::string path = testing::TempDir() + "/observer_memo.ckpt";
+    remove_checkpoint(path);
+    {
+        DseCheckpointer checkpointer(path, explore_state_hash(problem, options));
+        (void)explore(problem, options, nullptr, nullptr, &checkpointer);
+    }
+    DseCheckpointer checkpointer(path, explore_state_hash(problem, options));
+    const auto info =
+        checkpointer.load(problem.graph().task_count(), problem.architecture().core_count());
+    ASSERT_TRUE(info.has_value());
+    ASSERT_GT(info->slots_decided, 0u);
+    RecordingObserver observer;
+    const DseResult result = explore(problem, options, &observer, nullptr, &checkpointer);
+    expect_resume_streams_everything(result, observer);
+    remove_checkpoint(path);
+}
+
+TEST(ProgressObserver, KillThenResumeReportsTheRestoredSlots) {
+    const Problem problem = fig8_problem();
+    const ExploreOptions options = quick_options(1);
+    const std::string path = testing::TempDir() + "/observer_kill.ckpt";
+    remove_checkpoint(path);
+    {
+        DseCheckpointer checkpointer(path, explore_state_hash(problem, options));
+        checkpointer.set_cadence(1, 0.0);
+        CancellationToken cancel;
+        StopAfterObserver killer(cancel, 4);
+        (void)explore(problem, options, &killer, &cancel, &checkpointer);
+    }
+    DseCheckpointer checkpointer(path, explore_state_hash(problem, options));
+    const auto info =
+        checkpointer.load(problem.graph().task_count(), problem.architecture().core_count());
+    ASSERT_TRUE(info.has_value());
+    ASSERT_GT(info->slots_decided, 0u);
+    RecordingObserver observer;
+    const DseResult result = explore(problem, options, &observer, nullptr, &checkpointer);
+    EXPECT_LT(info->slots_decided, result.scalings_enumerated); // a real partial prefix
+    expect_resume_streams_everything(result, observer);
+    remove_checkpoint(path);
 }
 
 TEST(Cancellation, PreCancelledExploreRunsNothing) {
