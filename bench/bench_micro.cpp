@@ -204,6 +204,36 @@ void bm_sa_neighborhood_step(benchmark::State& state, bool naive) {
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, naive, true)->Arg(11)->Arg(60)->Arg(100);
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, ctx, false)->Arg(11)->Arg(60)->Arg(100);
 
+// One Fig. 7 steepest-descent sweep — every task moved to every other
+// core off a rebased mapping — on the search-tgff200 problem shape:
+// the 200-task TGFF graph (generator seed 1), 6 cores, the four-level
+// table at a mixed scaling. The memo is off: repeating the sweep from
+// one base would make every pass after the first pure memo hits, and
+// the kernel measured here is the suffix replay.
+void bm_eval_sweep(benchmark::State& state, bool naive) {
+    TgffParams params;
+    params.task_count = 200;
+    const TaskGraph graph = generate_tgff_graph(params, 1);
+    constexpr std::size_t cores = 6;
+    const MpsocArchitecture arch(cores, VoltageScalingTable::arm7_four_level());
+    const EvaluationContext ctx{graph, arch, {1, 2, 2, 3, 4, 4}, SeuEstimator{SerModel{}},
+                                paper_tgff_deadline_seconds(200)};
+    EvalOptions options = eval_options(naive);
+    options.memoize = false;
+    EvalContext eval(ctx, options);
+    eval.rebase(round_robin_mapping(graph, cores));
+    for (auto _ : state) {
+        for (TaskId t = 0; t < graph.task_count(); ++t)
+            for (CoreId core = 0; core < cores; ++core)
+                if (core != eval.base().core_of(t))
+                    benchmark::DoNotOptimize(eval.evaluate_move(t, core));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(graph.task_count() * (cores - 1)));
+}
+BENCHMARK_CAPTURE(bm_eval_sweep, naive, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_eval_sweep, ctx, false)->Unit(benchmark::kMillisecond);
+
 // End-to-end Fig. 4 exploration through the public API.
 void bm_explore_end_to_end(benchmark::State& state, bool naive) {
     const Problem problem = ProblemBuilder()
@@ -220,6 +250,10 @@ void bm_explore_end_to_end(benchmark::State& state, bool naive) {
 }
 BENCHMARK_CAPTURE(bm_explore_end_to_end, naive, true);
 BENCHMARK_CAPTURE(bm_explore_end_to_end, ctx, false);
+
+// Benches that run on the thread pool use real time and process-wide
+// CPU time: Google Benchmark's default clock is the main thread's CPU
+// time, which stays near zero while the workers do the work.
 
 // The bound-driven branch-and-bound explorer against the exhaustive
 // Fig. 4 sweep, on the shared prunable scenario of api/scenarios.h (a
@@ -246,10 +280,14 @@ void bm_explore_prunable(benchmark::State& state, bool prune) {
 BENCHMARK_CAPTURE(bm_explore_prunable, exhaustive, false)
     ->Arg(1)
     ->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_explore_prunable, pruned, true)
     ->Arg(1)
     ->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Multi-start saturation: with fewer runnable scalings than workers,
@@ -267,7 +305,12 @@ void bm_explore_multi_start(benchmark::State& state) {
         benchmark::DoNotOptimize(explore(problem, options));
     }
 }
-BENCHMARK(bm_explore_multi_start)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_explore_multi_start)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 // The saturation curve behind the multi-start payoff property test
 // (tests/core/dse_multi_start_test.cpp): K = 1/2/4/8 independent
@@ -295,6 +338,8 @@ BENCHMARK(bm_multi_start_saturation)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // The giant-instance tentpole point: lazy bound-sorted enumeration on
@@ -325,11 +370,15 @@ void bm_explore_scale(benchmark::State& state, bool prune) {
 BENCHMARK_CAPTURE(bm_explore_scale, materialized, false)
     ->Arg(8)
     ->Iterations(1)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_explore_scale, lazy, true)
     ->Arg(1)
     ->Arg(8)
     ->Iterations(1)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Raw giant-graph throughput of the --scale TGFF family: a 1000-task
@@ -349,7 +398,12 @@ void bm_explore_scale_tgff(benchmark::State& state) {
     state.counters["total"] = static_cast<double>(last.scalings_total);
     state.counters["searched"] = static_cast<double>(last.scalings_searched);
 }
-BENCHMARK(bm_explore_scale_tgff)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_explore_scale_tgff)
+    ->Arg(1)
+    ->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 void bm_scaling_enumeration(benchmark::State& state) {
     const auto cores = static_cast<std::size_t>(state.range(0));
@@ -425,7 +479,12 @@ void bm_campaign_sharded(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(k_campaign_bench_trials));
 }
-BENCHMARK(bm_campaign_sharded)->Arg(11)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_campaign_sharded)
+    ->Arg(11)
+    ->Arg(100)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace seamap

@@ -238,6 +238,10 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         stop.request_stop();
     };
 
+    // Graph- and architecture-only precomputation, built once and read
+    // without locks by every worker's per-start EvalContext.
+    const EvalPlan plan(graph, arch);
+
     auto run_start = [&](SlotSearch& search, std::size_t start_index) {
         bool ran = false; // searched in full, or skipped as dominated
         if (!stop.stop_requested()) {
@@ -254,8 +258,9 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     // worker's search runs on: preallocated scratch,
                     // incremental rescheduling and the memo table all
                     // live here, private to this worker, so
-                    // thread-count invariance is untouched.
-                    EvalContext eval(ctx, params.eval);
+                    // thread-count invariance is untouched; only the
+                    // immutable plan is shared.
+                    EvalContext eval(plan, ctx, params.eval);
                     Mapping initial = params.use_initial_sea_mapping
                                           ? initial_sea_mapping(ctx)
                                           : round_robin_mapping(graph, arch.core_count());

@@ -2,6 +2,7 @@
 
 #include "sched/list_scheduler.h"
 #include "taskgraph/register_file.h"
+#include "util/float_compare.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -55,42 +56,71 @@ NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probabilit
     return op;
 }
 
-// seamap-lint: push-allow(hot-path-alloc) -- constructor: one-time
-// per-scaling precomputation and scratch sizing; nothing here runs in
-// the steady-state evaluation loop
-EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
-    : ctx_(ctx), options_(options) {
-    ctx_.arch.validate_scaling(ctx_.levels);
-    n_ = ctx_.graph.task_count();
-    cores_ = ctx_.arch.core_count();
-    batches_ = static_cast<double>(ctx_.graph.batch_count());
+// seamap-lint: push-allow(hot-path-alloc) -- constructors: one-time
+// per-exploration plan building and per-scaling precomputation and
+// scratch sizing; nothing here runs in the steady-state evaluation loop
+EvalPlan::EvalPlan(const TaskGraph& graph, const MpsocArchitecture& arch)
+    : graph_(graph) {
+    n_ = graph.task_count();
+    cores_ = arch.core_count();
+    batches_ = static_cast<double>(graph.batch_count());
+    const std::size_t levels = arch.scaling_table().level_count();
+    level_freq_.resize(levels);
+    for (std::size_t l = 0; l < levels; ++l)
+        level_freq_[l] = arch.frequency_hz(static_cast<ScalingLevel>(l + 1));
 
-    order_ = static_schedule_order(ctx_.graph);
-    pos_.resize(n_);
-    for (std::size_t p = 0; p < n_; ++p) pos_[order_[p]] = p;
+    order_ = static_schedule_order(graph);
+    std::vector<std::size_t> pos(n_); // task -> position in order_
+    for (std::size_t p = 0; p < n_; ++p) pos[order_[p]] = p;
+
+    exec_cycles_.resize(n_);
+    out_offsets_.resize(n_ + 1);
+    in_offsets_.resize(n_ + 1);
+    out_edges_.reserve(graph.edge_count());
+    in_edges_.reserve(graph.edge_count());
+    for (TaskId t = 0; t < n_; ++t) {
+        exec_cycles_[t] = graph.task(t).exec_cycles;
+        out_offsets_[t] = out_edges_.size();
+        for (std::size_t idx : graph.out_edge_indices(t)) {
+            const Edge& e = graph.edge(idx);
+            out_edges_.push_back(OutEdge{e.dst, idx, e.comm_cycles});
+        }
+        in_offsets_[t] = in_edges_.size();
+        for (std::size_t idx : graph.in_edge_indices(t)) {
+            const Edge& e = graph.edge(idx);
+            in_edges_.push_back(InEdge{pos[e.src], idx, e.comm_cycles});
+        }
+    }
+    out_offsets_[n_] = out_edges_.size();
+    in_offsets_[n_] = in_edges_.size();
+
     // Earliest placement position a mutation of task t can influence:
     // every predecessor of t is placed before t, and positions before
     // the earliest predecessor see neither t's core (no edges into t
     // originate there) nor any other changed core.
     suffix_start_.resize(n_);
     for (TaskId t = 0; t < n_; ++t) {
-        std::size_t s = pos_[t];
-        for (std::size_t idx : ctx_.graph.in_edge_indices(t))
-            s = std::min(s, pos_[ctx_.graph.edge(idx).src]);
+        std::size_t s = pos[t];
+        for (std::size_t k = in_offsets_[t]; k < in_offsets_[t + 1]; ++k)
+            s = std::min(s, in_edges_[k].src_pos);
         suffix_start_[t] = s;
     }
 
-    core_freq_.resize(cores_);
-    ser_rate_.resize(cores_);
-    active_power_mw_.resize(cores_);
-    for (std::size_t c = 0; c < cores_; ++c) {
-        core_freq_[c] = ctx_.arch.frequency_hz(ctx_.levels[c]);
-        ser_rate_[c] = ctx_.estimator.ser_model().ser_per_bit_second(
-            ctx_.arch.scaling_table().vdd(ctx_.levels[c]));
-        active_power_mw_[c] = ctx_.arch.power_model().core_active_power_mw(ctx_.levels[c]);
+    // The exact expressions the scheduler evaluates per placement, so
+    // every table entry is bit-identical to the per-call quotient.
+    const std::size_t out_count = out_edges_.size();
+    exec_seconds_.resize(levels * n_);
+    comm_seconds_.resize(levels * out_count);
+    for (std::size_t l = 0; l < levels; ++l) {
+        for (TaskId t = 0; t < n_; ++t)
+            exec_seconds_[l * n_ + t] =
+                static_cast<double>(exec_cycles_[t]) / batches_ / level_freq_[l];
+        for (std::size_t k = 0; k < out_count; ++k)
+            comm_seconds_[l * out_count + k] =
+                static_cast<double>(out_edges_[k].comm_cycles) / batches_ / level_freq_[l];
     }
 
-    const std::size_t universe = ctx_.graph.register_file().size();
+    const std::size_t universe = graph.register_file().size();
     words_ = (universe + 63) / 64;
     // SoA register state: every task's register set flattened into one
     // fixed-width row of the arena (tasks whose backing sets are
@@ -98,13 +128,55 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
     // per-register width table the weighted popcount reads.
     task_reg_words_.assign(n_ * words_, 0);
     for (TaskId t = 0; t < n_; ++t) {
-        const RegisterSet& regs = ctx_.graph.task(t).registers;
+        const RegisterSet& regs = graph.task(t).registers;
         std::copy_n(regs.words(), std::min(regs.word_count(), words_),
                     task_reg_words_.begin() + static_cast<std::ptrdiff_t>(t * words_));
     }
     reg_bits_.resize(universe);
-    for (RegisterId r = 0; r < universe; ++r)
-        reg_bits_[r] = ctx_.graph.register_file().bits(r);
+    for (RegisterId r = 0; r < universe; ++r) reg_bits_[r] = graph.register_file().bits(r);
+}
+
+EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
+    : owned_plan_(std::make_unique<const EvalPlan>(ctx.graph, ctx.arch)),
+      plan_(*owned_plan_),
+      ctx_(ctx),
+      options_(options) {
+    prepare_scaling();
+}
+
+EvalContext::EvalContext(const EvalPlan& plan, const EvaluationContext& ctx,
+                         EvalOptions options)
+    : plan_(plan), ctx_(ctx), options_(options) {
+    bool same_frequencies = plan.level_freq_.size() == ctx.arch.scaling_table().level_count();
+    for (std::size_t l = 0; same_frequencies && l < plan.level_freq_.size(); ++l)
+        same_frequencies = exactly_equal(
+            plan.level_freq_[l], ctx.arch.frequency_hz(static_cast<ScalingLevel>(l + 1)));
+    if (&plan.graph_ != &ctx.graph || plan.cores_ != ctx.arch.core_count() ||
+        !same_frequencies)
+        throw std::invalid_argument(
+            "EvalContext: plan was built for a different graph or architecture");
+    prepare_scaling();
+}
+
+void EvalContext::prepare_scaling() {
+    ctx_.arch.validate_scaling(ctx_.levels);
+    n_ = plan_.n_;
+    cores_ = plan_.cores_;
+
+    exec_seconds_row_.resize(cores_);
+    comm_seconds_row_.resize(cores_);
+    core_freq_.resize(cores_);
+    ser_rate_.resize(cores_);
+    active_power_mw_.resize(cores_);
+    for (std::size_t c = 0; c < cores_; ++c) {
+        const std::size_t row = ctx_.levels[c] - 1u;
+        exec_seconds_row_[c] = plan_.exec_seconds_.data() + row * n_;
+        comm_seconds_row_[c] = plan_.comm_seconds_.data() + row * plan_.out_edges_.size();
+        core_freq_[c] = plan_.level_freq_[row];
+        ser_rate_[c] = ctx_.estimator.ser_model().ser_per_bit_second(
+            ctx_.arch.scaling_table().vdd(ctx_.levels[c]));
+        active_power_mw_[c] = ctx_.arch.power_model().core_active_power_mw(ctx_.levels[c]);
+    }
 
     data_ready_.resize(n_);
     core_free_.resize(cores_);
@@ -114,8 +186,8 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
     utilization_.resize(cores_);
     register_bits_.resize(cores_);
     busy_delta_.resize(cores_);
-    union_words_.resize(cores_ * words_);
-    scratch_words_.resize(words_);
+    union_words_.resize(cores_ * plan_.words_);
+    scratch_words_.resize(plan_.words_);
     key_scratch_.resize(n_);
 
     base_finish_.resize(n_);
@@ -145,6 +217,9 @@ void EvalContext::check_mapping(const Mapping& mapping) const {
 DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
     check_mapping(mapping);
     const CoreId* core_of = mapping.raw().data();
+    const TaskId* order = plan_.order_.data();
+    const std::size_t* out_offsets = plan_.out_offsets_.data();
+    const EvalPlan::OutEdge* out_edges = plan_.out_edges_.data();
 
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
     std::fill(core_free_.begin(), core_free_.end(), 0.0);
@@ -153,23 +228,22 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
             std::copy(core_free_.begin(), core_free_.end(),
                       base_core_free_at_.begin() +
                           static_cast<std::ptrdiff_t>(p * cores_));
-        const TaskId t = order_[p];
+        const TaskId t = order[p];
         const CoreId core = core_of[t];
         const double start = std::max(core_free_[core], data_ready_[t]);
-        const double finish =
-            start + static_cast<double>(ctx_.graph.task(t).exec_cycles) / batches_ /
-                        core_freq_[core];
+        const double finish = start + exec_seconds_row_[core][t];
         finish_[t] = finish;
         double cursor = finish;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(t)) {
-            const Edge& e = ctx_.graph.edge(idx);
+        const double* comm_seconds = comm_seconds_row_[core];
+        for (std::size_t k = out_offsets[t]; k < out_offsets[t + 1]; ++k) {
+            const EvalPlan::OutEdge& e = out_edges[k];
             const bool cross = core_of[e.dst] != core;
             double arrival = finish;
             if (cross) {
-                cursor += static_cast<double>(e.comm_cycles) / batches_ / core_freq_[core];
+                cursor += comm_seconds[k];
                 arrival = cursor;
             }
-            if (record) base_arrival_[idx] = arrival;
+            if (record) base_arrival_[e.edge] = arrival;
             data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
         }
         core_free_[core] = cursor;
@@ -182,24 +256,23 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
     std::fill(busy_.begin(), busy_.end(), std::uint64_t{0});
     for (TaskId t = 0; t < n_; ++t) {
         const CoreId core = core_of[t];
-        busy_[core] += ctx_.graph.task(t).exec_cycles;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(t)) {
-            const Edge& e = ctx_.graph.edge(idx);
-            if (core_of[e.dst] != core) busy_[core] += e.comm_cycles;
-        }
+        busy_[core] += plan_.exec_cycles_[t];
+        for (std::size_t k = out_offsets[t]; k < out_offsets[t + 1]; ++k)
+            if (core_of[out_edges[k].dst] != core) busy_[core] += out_edges[k].comm_cycles;
     }
 
     // Per-core register unions, eq. (8): fixed-width word rows, so the
     // per-task OR is a contiguous word loop over the arena rows (the
     // vectorizable SoA form of `union[core] |= task.registers`).
+    const std::size_t words = plan_.words_;
     std::fill(union_words_.begin(), union_words_.end(), std::uint64_t{0});
     for (TaskId t = 0; t < n_; ++t) {
-        std::uint64_t* dst = union_words_.data() + core_of[t] * words_;
-        const std::uint64_t* src = task_reg_words_.data() + t * words_;
-        for (std::size_t w = 0; w < words_; ++w) dst[w] |= src[w];
+        std::uint64_t* dst = union_words_.data() + core_of[t] * words;
+        const std::uint64_t* src = plan_.task_reg_words_.data() + t * words;
+        for (std::size_t w = 0; w < words; ++w) dst[w] |= src[w];
     }
     for (std::size_t c = 0; c < cores_; ++c)
-        register_bits_[c] = weighted_bits(union_words_.data() + c * words_);
+        register_bits_[c] = weighted_bits(union_words_.data() + c * words);
 
     if (record) {
         std::copy(finish_.begin(), finish_.end(), base_finish_.begin());
@@ -224,12 +297,13 @@ std::uint64_t EvalContext::weighted_bits(const std::uint64_t* row) const {
     // Weighted popcount of one union row: the eq. (8) |R| term. Integer
     // addition commutes exactly, so the value is bit-identical to
     // RegisterSet::bits_in whatever the traversal order.
+    const std::uint64_t* reg_bits = plan_.reg_bits_.data();
     std::uint64_t total = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
+    for (std::size_t w = 0; w < plan_.words_; ++w) {
         std::uint64_t word = row[w];
         while (word != 0) {
             const auto bit = static_cast<unsigned>(__builtin_ctzll(word));
-            total += reg_bits_[w * 64 + bit];
+            total += reg_bits[w * 64 + bit];
             word &= word - 1;
         }
     }
@@ -242,9 +316,9 @@ DesignMetrics EvalContext::finish_metrics(double latency) {
     double ii = 0.0;
     for (std::size_t c = 0; c < cores_; ++c) {
         busy_seconds_[c] = static_cast<double>(busy_[c]) / core_freq_[c];
-        ii = std::max(ii, busy_seconds_[c] / batches_);
+        ii = std::max(ii, busy_seconds_[c] / plan_.batches_);
     }
-    metrics.tm_seconds = latency + (batches_ - 1.0) * ii;
+    metrics.tm_seconds = latency + (plan_.batches_ - 1.0) * ii;
     for (std::size_t c = 0; c < cores_; ++c) {
         utilization_[c] = metrics.tm_seconds > 0.0
                               ? std::min(1.0, busy_seconds_[c] / metrics.tm_seconds)
@@ -302,8 +376,8 @@ DesignMetrics EvalContext::rebase(const Mapping& base) {
     has_base_ = true;
     if (options_.memoize) {
         const CoreId* key = base_.raw().data();
-        const std::uint64_t hash = hash_key(key);
-        if (memo_find(hash, key) == nullptr) memo_insert(hash, key, base_metrics_);
+        base_hash_ = hash_key(key);
+        if (memo_find(base_hash_, key) == nullptr) memo_insert(base_hash_, key, base_metrics_);
     }
     return base_metrics_;
 }
@@ -324,14 +398,14 @@ DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
     if (options_.memoize) {
         std::copy(base_.raw().begin(), base_.raw().end(), key_scratch_.begin());
         key_scratch_[task] = to;
-        hash = hash_key(key_scratch_.data());
+        hash = base_hash_ ^ zobrist(task, from) ^ zobrist(task, to);
         if (const DesignMetrics* hit = memo_find(hash, key_scratch_.data())) {
             ++stats_.memo_hits;
             return *hit;
         }
     }
     const Override ov{task, to, task, to};
-    const DesignMetrics metrics = evaluate_override(ov, suffix_start_[task]);
+    const DesignMetrics metrics = evaluate_override(ov, plan_.suffix_start_[task]);
     if (options_.memoize) memo_insert(hash, key_scratch_.data(), metrics);
     return metrics;
 }
@@ -355,7 +429,8 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
         std::copy(base_.raw().begin(), base_.raw().end(), key_scratch_.begin());
         key_scratch_[a] = core_b;
         key_scratch_[b] = core_a;
-        hash = hash_key(key_scratch_.data());
+        hash = base_hash_ ^ zobrist(a, core_a) ^ zobrist(a, core_b) ^ zobrist(b, core_b) ^
+               zobrist(b, core_a);
         if (const DesignMetrics* hit = memo_find(hash, key_scratch_.data())) {
             ++stats_.memo_hits;
             return *hit;
@@ -363,7 +438,7 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
     }
     const Override ov{a, core_b, b, core_a};
     const DesignMetrics metrics =
-        evaluate_override(ov, std::min(suffix_start_[a], suffix_start_[b]));
+        evaluate_override(ov, std::min(plan_.suffix_start_[a], plan_.suffix_start_[b]));
     if (options_.memoize) memo_insert(hash, key_scratch_.data(), metrics);
     return metrics;
 }
@@ -385,6 +460,11 @@ DesignMetrics EvalContext::evaluate_neighbor(const NeighborOp& op) {
 DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suffix_pos) {
     ++stats_.incremental_evals;
     const CoreId* base_raw = base_.raw().data();
+    const TaskId* order = plan_.order_.data();
+    const std::size_t* out_offsets = plan_.out_offsets_.data();
+    const EvalPlan::OutEdge* out_edges = plan_.out_edges_.data();
+    const std::size_t* in_offsets = plan_.in_offsets_.data();
+    const EvalPlan::InEdge* in_edges = plan_.in_edges_.data();
 
     // Restore the timeline state as of `suffix_pos` (every placement
     // before it is provably identical under the override) and replay
@@ -393,66 +473,70 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
                     static_cast<std::ptrdiff_t>(suffix_pos * cores_),
                 cores_, core_free_.begin());
     for (std::size_t q = suffix_pos; q < n_; ++q) {
-        const TaskId w = order_[q];
+        const TaskId w = order[q];
         double ready = 0.0;
-        for (std::size_t idx : ctx_.graph.in_edge_indices(w)) {
-            if (pos_[ctx_.graph.edge(idx).src] < suffix_pos)
-                ready = std::max(ready, base_arrival_[idx]);
+        for (std::size_t k = in_offsets[w]; k < in_offsets[w + 1]; ++k) {
+            if (in_edges[k].src_pos < suffix_pos)
+                ready = std::max(ready, base_arrival_[in_edges[k].edge]);
         }
         data_ready_[w] = ready;
     }
     for (std::size_t q = suffix_pos; q < n_; ++q) {
-        const TaskId w = order_[q];
+        const TaskId w = order[q];
         const CoreId core = ov.core_of(base_raw, w);
         const double start = std::max(core_free_[core], data_ready_[w]);
-        const double finish =
-            start + static_cast<double>(ctx_.graph.task(w).exec_cycles) / batches_ /
-                        core_freq_[core];
+        const double finish = start + exec_seconds_row_[core][w];
         finish_[w] = finish;
         double cursor = finish;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(w)) {
-            const Edge& e = ctx_.graph.edge(idx);
-            const bool cross = ov.core_of(base_raw, e.dst) != core;
+        const double* comm_seconds = comm_seconds_row_[core];
+        for (std::size_t k = out_offsets[w]; k < out_offsets[w + 1]; ++k) {
+            const TaskId dst = out_edges[k].dst;
+            const bool cross = ov.core_of(base_raw, dst) != core;
             double arrival = finish;
             if (cross) {
-                cursor += static_cast<double>(e.comm_cycles) / batches_ / core_freq_[core];
+                cursor += comm_seconds[k];
                 arrival = cursor;
             }
-            data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
+            data_ready_[dst] = std::max(data_ready_[dst], arrival);
         }
         core_free_[core] = cursor;
     }
     double latency = 0.0;
-    for (TaskId t = 0; t < n_; ++t)
-        latency = std::max(latency, pos_[t] < suffix_pos ? base_finish_[t] : finish_[t]);
+    for (std::size_t q = 0; q < suffix_pos; ++q)
+        latency = std::max(latency, base_finish_[order[q]]);
+    for (std::size_t q = suffix_pos; q < n_; ++q)
+        latency = std::max(latency, finish_[order[q]]);
 
     // Busy cycles: integer delta over the touched tasks and their
     // incident edges (exactly equal to a full eq. 7 recompute).
     std::fill(busy_delta_.begin(), busy_delta_.end(), std::int64_t{0});
     const bool two_tasks = ov.b != ov.a;
     auto apply_exec_delta = [&](TaskId t, CoreId cand_core) {
-        const auto exec = static_cast<std::int64_t>(ctx_.graph.task(t).exec_cycles);
+        const auto exec = static_cast<std::int64_t>(plan_.exec_cycles_[t]);
         busy_delta_[base_raw[t]] -= exec;
         busy_delta_[cand_core] += exec;
     };
     apply_exec_delta(ov.a, ov.core_a);
     if (two_tasks) apply_exec_delta(ov.b, ov.core_b);
-    auto apply_edge_delta = [&](std::size_t idx) {
-        const Edge& e = ctx_.graph.edge(idx);
-        const auto comm = static_cast<std::int64_t>(e.comm_cycles);
-        if (base_raw[e.src] != base_raw[e.dst]) busy_delta_[base_raw[e.src]] -= comm;
-        const CoreId cand_src = ov.core_of(base_raw, e.src);
-        if (cand_src != ov.core_of(base_raw, e.dst)) busy_delta_[cand_src] += comm;
+    auto apply_edge_delta = [&](TaskId src, TaskId dst, std::uint64_t comm_cycles) {
+        const auto comm = static_cast<std::int64_t>(comm_cycles);
+        if (base_raw[src] != base_raw[dst]) busy_delta_[base_raw[src]] -= comm;
+        const CoreId cand_src = ov.core_of(base_raw, src);
+        if (cand_src != ov.core_of(base_raw, dst)) busy_delta_[cand_src] += comm;
     };
-    for (std::size_t idx : ctx_.graph.out_edge_indices(ov.a)) apply_edge_delta(idx);
-    for (std::size_t idx : ctx_.graph.in_edge_indices(ov.a)) apply_edge_delta(idx);
-    if (two_tasks) {
-        // Skip edges already handled through task a.
-        for (std::size_t idx : ctx_.graph.out_edge_indices(ov.b))
-            if (ctx_.graph.edge(idx).dst != ov.a) apply_edge_delta(idx);
-        for (std::size_t idx : ctx_.graph.in_edge_indices(ov.b))
-            if (ctx_.graph.edge(idx).src != ov.a) apply_edge_delta(idx);
-    }
+    // `skip` excludes the edges to or from one task: for b, those
+    // between a and b, already handled through a.
+    auto apply_incident_deltas = [&](TaskId t, TaskId skip) {
+        for (std::size_t k = out_offsets[t]; k < out_offsets[t + 1]; ++k)
+            if (out_edges[k].dst != skip)
+                apply_edge_delta(t, out_edges[k].dst, out_edges[k].comm_cycles);
+        for (std::size_t k = in_offsets[t]; k < in_offsets[t + 1]; ++k) {
+            const TaskId src = order[in_edges[k].src_pos];
+            if (src != skip) apply_edge_delta(src, t, in_edges[k].comm_cycles);
+        }
+    };
+    apply_incident_deltas(ov.a, static_cast<TaskId>(n_)); // no task has id n_
+    if (two_tasks) apply_incident_deltas(ov.b, ov.a);
     for (std::size_t c = 0; c < cores_; ++c)
         busy_[c] = static_cast<std::uint64_t>(static_cast<std::int64_t>(base_busy_[c]) +
                                               busy_delta_[c]);
@@ -462,9 +546,11 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
     // base task lists gives exactly the full eq. 8 result. Same SoA
     // word-row OR as the full pass, over the CSR task slice.
     std::copy(base_bits_.begin(), base_bits_.end(), register_bits_.begin());
+    const std::size_t words = plan_.words_;
+    std::uint64_t* scratch = scratch_words_.data();
     auto or_task_row = [&](TaskId t) {
-        const std::uint64_t* src = task_reg_words_.data() + t * words_;
-        for (std::size_t w = 0; w < words_; ++w) scratch_words_[w] |= src[w];
+        const std::uint64_t* src = plan_.task_reg_words_.data() + t * words;
+        for (std::size_t w = 0; w < words; ++w) scratch[w] |= src[w];
     };
     auto recompute_core_bits = [&](CoreId c) {
         std::fill(scratch_words_.begin(), scratch_words_.end(), std::uint64_t{0});
@@ -488,9 +574,17 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
     return finish_metrics(latency);
 }
 
+// Zobrist key of "task on core": computed on demand (no table), so a
+// mapping's hash is the XOR of n keys and a move or swap updates it
+// with two or four.
+std::uint64_t EvalContext::zobrist(TaskId task, CoreId core) const {
+    return splitmix64(0x9e3779b97f4a7c15ULL ^
+                      (static_cast<std::uint64_t>(task) * cores_ + core));
+}
+
 std::uint64_t EvalContext::hash_key(const CoreId* key) const {
-    std::uint64_t hash = 0x9e3779b97f4a7c15ULL ^ n_;
-    for (std::size_t i = 0; i < n_; ++i) hash = splitmix64(hash ^ key[i]);
+    std::uint64_t hash = 0;
+    for (TaskId t = 0; t < n_; ++t) hash ^= zobrist(t, key[t]);
     return hash;
 }
 

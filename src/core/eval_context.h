@@ -5,11 +5,16 @@
 // unions and fresh SEU/power sums per call. EvalContext is the reusable
 // per-scaling evaluation engine both search strategies run on instead:
 //
-//  - Precomputation: the list scheduler's placement sequence is a pure
-//    function of the graph (sched/list_scheduler.h,
-//    static_schedule_order), so the order, b-level selection, core
-//    frequencies, per-core SER rates and active powers are computed
-//    once per scaling; per candidate only the timing arithmetic runs.
+//  - Precomputation: everything that depends only on the graph and the
+//    architecture lives in one immutable EvalPlan, built once per
+//    exploration and read without locks by every worker's contexts:
+//    the list scheduler's placement sequence (a pure function of the
+//    graph, sched/list_scheduler.h static_schedule_order), CSR in/out
+//    edge arrays, per-(task, level) execution seconds, per-(edge,
+//    level) communication seconds and the register word rows. An
+//    EvalContext adds only the per-scaling state (each core's level
+//    row, frequency, SER rate and active power); per candidate only
+//    the timing arithmetic over flat arrays runs.
 //  - Scratch reuse: ready lists, per-PE timelines, data-ready arrays,
 //    busy/utilization accumulators and register-union bitsets live in
 //    the context and are reused across candidates — the steady-state
@@ -20,30 +25,37 @@
 //    (positions before the earliest predecessor of a moved task are
 //    provably unchanged), and only the affected cores' register unions
 //    and busy cycles are recomputed.
-//  - Memoization: a per-scaling memo table keyed by the full mapping
-//    (open addressing, flat key arena) returns previously computed
-//    metrics for revisited candidates, so a random walk that undoes a
-//    move never pays for the same design twice.
+//  - Memoization: a per-scaling memo table (open addressing, flat key
+//    arena) returns previously computed metrics for revisited
+//    candidates, so a random walk that undoes a move never pays for the
+//    same design twice. Keys are Zobrist hashes — the XOR of one
+//    computed key per (task, core) pair — so a move or swap updates the
+//    base mapping's hash in O(1); a hash match is always confirmed by
+//    comparing the full mapping.
 //
 // Determinism contract: every path (full, incremental, memoized)
 // reproduces evaluate_design() BIT-IDENTICALLY — the same floating-
-// point operations in the same order. The naive_reference option turns
-// the context into a thin wrapper over evaluate_design() so the
-// equivalence harness (tests/core/eval_context_equivalence_test.cpp)
-// and the before/after benches drive both paths through identical
-// search code.
+// point operations in the same order. The plan's time tables hold
+// exactly the quotients the naive path computes per call. The
+// naive_reference option turns the context into a thin wrapper over
+// evaluate_design() so the equivalence harness
+// (tests/core/eval_context_equivalence_test.cpp) and the before/after
+// benches drive both paths through identical search code.
 //
 // An EvalContext is single-threaded state: the explorer builds one per
 // scaling combination inside each worker, so contexts are never shared
-// across threads.
+// across threads. An EvalPlan is immutable after construction and may
+// be shared by any number of contexts on any threads.
 #pragma once
 
+#include "arch/mpsoc.h"
 #include "reliability/design_eval.h"
 #include "sched/mapping.h"
 #include "taskgraph/task_graph.h"
 #include "util/rng.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace seamap {
@@ -90,12 +102,74 @@ struct NeighborOp {
 NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probability,
                               bool require_all_cores);
 
+/// Immutable graph- and architecture-only precomputation shared by
+/// every EvalContext of one exploration. See file comment.
+class EvalPlan {
+public:
+    /// `graph` and `arch` must outlive the plan and every context built
+    /// on it.
+    EvalPlan(const TaskGraph& graph, const MpsocArchitecture& arch);
+
+    EvalPlan(const EvalPlan&) = delete;
+    EvalPlan& operator=(const EvalPlan&) = delete;
+
+private:
+    friend class EvalContext;
+
+    /// Out-edge of a task, in TaskGraph::out_edge_indices order (the
+    /// order the scheduler advances the sender's comm cursor in).
+    struct OutEdge {
+        TaskId dst;
+        std::size_t edge; ///< TaskGraph edge index
+        std::uint64_t comm_cycles;
+    };
+    /// In-edge of a task, in TaskGraph::in_edge_indices order.
+    struct InEdge {
+        std::size_t src_pos; ///< the source's position in order_
+        std::size_t edge;    ///< TaskGraph edge index
+        std::uint64_t comm_cycles;
+    };
+
+    const TaskGraph& graph_;
+    std::size_t n_ = 0;
+    std::size_t cores_ = 0;
+    std::size_t words_ = 0; ///< fixed bitset width: register words per row
+    double batches_ = 1.0;
+    std::vector<double> level_freq_; ///< [level - 1] -> Hz, what the tables divide by
+
+    std::vector<TaskId> order_;             ///< static schedule order
+    std::vector<std::size_t> suffix_start_; ///< task -> earliest affected position
+    std::vector<std::size_t> out_offsets_;  ///< task -> out_edges_ slice; n_ + 1 entries
+    std::vector<OutEdge> out_edges_;
+    std::vector<std::size_t> in_offsets_;   ///< task -> in_edges_ slice; n_ + 1 entries
+    std::vector<InEdge> in_edges_;
+    std::vector<std::uint64_t> exec_cycles_; ///< per task
+    /// Level-major time tables: row `level - 1` holds, per task (resp.
+    /// per out_edges_ entry), cycles / batches / frequency_hz(level).
+    std::vector<double> exec_seconds_; ///< [(level - 1) * n_ + task]
+    std::vector<double> comm_seconds_; ///< [(level - 1) * out_edges_.size() + k]
+    /// Struct-of-arrays register state: each task's register set as a
+    /// fixed-width row of `words_` words (row-major arena, n_ rows), so
+    /// a per-core union is a contiguous `dst[w] |= src[w]` word loop
+    /// the compiler can vectorize — no pointer-chasing through
+    /// RegisterSet's per-set heap blocks.
+    std::vector<std::uint64_t> task_reg_words_; ///< [task * words_ + w]
+    std::vector<std::uint64_t> reg_bits_;       ///< register id -> width in bits
+};
+
 /// Reusable per-scaling evaluation engine. See file comment.
 class EvalContext {
 public:
     /// `ctx` must outlive the EvalContext. Validates the scaling vector
-    /// eagerly and precomputes the schedule order.
+    /// eagerly and builds a private EvalPlan for ctx's graph and
+    /// architecture.
     explicit EvalContext(const EvaluationContext& ctx, EvalOptions options = {});
+
+    /// Runs on a shared `plan`, which must outlive the context. Throws
+    /// std::invalid_argument unless the plan was built for ctx's graph
+    /// (the same object) and an architecture with ctx's core count and
+    /// operating frequencies.
+    EvalContext(const EvalPlan& plan, const EvaluationContext& ctx, EvalOptions options = {});
 
     EvalContext(const EvalContext&) = delete;
     EvalContext& operator=(const EvalContext&) = delete;
@@ -167,39 +241,34 @@ private:
         }
     };
 
+    void prepare_scaling();
     DesignMetrics evaluate_full(const Mapping& mapping, bool record);
     DesignMetrics evaluate_override(const Override& ov, std::size_t suffix_pos);
     DesignMetrics finish_metrics(double latency);
     void check_mapping(const Mapping& mapping) const;
 
-    // Memo table: open addressing over a flat key arena.
+    // Memo table: open addressing over a flat key arena, keyed by
+    // Zobrist hashes (see zobrist()).
+    std::uint64_t zobrist(TaskId task, CoreId core) const;
     std::uint64_t hash_key(const CoreId* key) const;
     const DesignMetrics* memo_find(std::uint64_t hash, const CoreId* key) const;
     void memo_insert(std::uint64_t hash, const CoreId* key, const DesignMetrics& metrics);
 
     std::uint64_t weighted_bits(const std::uint64_t* row) const;
 
+    std::unique_ptr<const EvalPlan> owned_plan_; ///< set by the private-plan constructor
+    const EvalPlan& plan_;
     const EvaluationContext& ctx_;
     EvalOptions options_;
-    std::size_t n_ = 0;
-    std::size_t cores_ = 0;
-    std::size_t words_ = 0; ///< fixed bitset width: register words per row
-    double batches_ = 1.0;
+    std::size_t n_ = 0;     ///< plan_.n_
+    std::size_t cores_ = 0; ///< plan_.cores_
 
-    // Per-scaling precomputation.
-    std::vector<TaskId> order_;          ///< static schedule order
-    std::vector<std::size_t> pos_;       ///< task -> position in order_
-    std::vector<std::size_t> suffix_start_; ///< task -> earliest affected position
+    // Per-scaling state.
+    std::vector<const double*> exec_seconds_row_; ///< core -> plan_ row at its level
+    std::vector<const double*> comm_seconds_row_; ///< core -> plan_ row at its level
     std::vector<double> core_freq_;
     std::vector<double> ser_rate_;       ///< SER per bit-second at each core's Vdd
     std::vector<double> active_power_mw_;
-    /// Struct-of-arrays register state: each task's register set as a
-    /// fixed-width row of `words_` words (row-major arena, n_ rows), so
-    /// a per-core union is a contiguous `dst[w] |= src[w]` word loop
-    /// the compiler can vectorize — no pointer-chasing through
-    /// RegisterSet's per-set heap blocks.
-    std::vector<std::uint64_t> task_reg_words_; ///< [task * words_ + w]
-    std::vector<std::uint64_t> reg_bits_;       ///< register id -> width in bits
 
     // Scratch reused by every evaluation (no steady-state allocation).
     std::vector<double> data_ready_;
@@ -218,6 +287,7 @@ private:
     // Incremental base state (valid while has_base_).
     bool has_base_ = false;
     Mapping base_;
+    std::uint64_t base_hash_ = 0; ///< hash_key(base_), when memoizing
     DesignMetrics base_metrics_;
     std::vector<double> base_finish_;
     std::vector<double> base_arrival_;      ///< per edge: data-arrival instant

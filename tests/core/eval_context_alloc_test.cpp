@@ -60,6 +60,12 @@ Mapping random_mapping(const TaskGraph& graph, std::size_t cores, Rng& rng) {
     return mapping;
 }
 
+// Every steady-state case runs twice: on a context owning a private
+// plan, and on one built from a shared EvalPlan as the explorer does.
+constexpr bool k_shared_plan[] = {false, true};
+
+std::string plan_label(bool shared) { return shared ? " (shared plan)" : " (private plan)"; }
+
 TEST(AllocGuard, CountingAllocatorIsLinkedIn) { SEAMAP_REQUIRE_ALLOC_GUARD(); }
 
 TEST(AllocGuard, ObservesVectorGrowth) {
@@ -72,53 +78,61 @@ TEST(AllocGuard, ObservesVectorGrowth) {
 
 TEST(EvalContextAlloc, SteadyStateFullEvaluationIsAllocationFree) {
     SEAMAP_REQUIRE_ALLOC_GUARD();
-    for (const Workload& w : workloads()) {
-        const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
-        const ScalingVector levels(w.cores, ScalingLevel{1});
-        const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
-                                    w.deadline_seconds};
-        EvalContext eval(ctx);
-        Rng rng(21);
-        std::vector<Mapping> mappings;
-        for (int i = 0; i < 8; ++i) mappings.push_back(random_mapping(w.graph, w.cores, rng));
-        (void)eval.evaluate(mappings.front()); // warm-up: first-call growth
+    for (const bool shared : k_shared_plan) {
+        for (const Workload& w : workloads()) {
+            const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
+            const ScalingVector levels(w.cores, ScalingLevel{1});
+            const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
+                                        w.deadline_seconds};
+            const EvalPlan plan(w.graph, arch);
+            EvalContext eval = shared ? EvalContext(plan, ctx) : EvalContext(ctx);
+            Rng rng(21);
+            std::vector<Mapping> mappings;
+            for (int i = 0; i < 8; ++i)
+                mappings.push_back(random_mapping(w.graph, w.cores, rng));
+            (void)eval.evaluate(mappings.front()); // warm-up: first-call growth
 
-        AllocationGuard guard;
-        double sink = 0.0;
-        for (const Mapping& mapping : mappings) sink += eval.evaluate(mapping).gamma;
-        EXPECT_EQ(guard.allocations(), 0u)
-            << "steady-state evaluate() allocated on " << w.label;
-        EXPECT_GT(sink, 0.0);
+            AllocationGuard guard;
+            double sink = 0.0;
+            for (const Mapping& mapping : mappings) sink += eval.evaluate(mapping).gamma;
+            EXPECT_EQ(guard.allocations(), 0u)
+                << "steady-state evaluate() allocated on " << w.label << plan_label(shared);
+            EXPECT_GT(sink, 0.0);
+        }
     }
 }
 
 TEST(EvalContextAlloc, SuffixReschedulingIsAllocationFree) {
     SEAMAP_REQUIRE_ALLOC_GUARD();
-    for (const Workload& w : workloads()) {
-        const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
-        const ScalingVector levels(w.cores, ScalingLevel{1});
-        const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
-                                    w.deadline_seconds};
-        EvalOptions options;
-        options.memoize = false; // isolate the incremental path: memo
-                                 // growth is the one documented exception
-        options.incremental = true;
-        EvalContext eval(ctx, options);
-        Rng rng(22);
-        Mapping base = random_mapping(w.graph, w.cores, rng);
-        (void)eval.rebase(base);
-        Mapping neighbor = base; // scratch hoisted: copy-assign below reuses capacity
+    for (const bool shared : k_shared_plan) {
+        for (const Workload& w : workloads()) {
+            const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
+            const ScalingVector levels(w.cores, ScalingLevel{1});
+            const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
+                                        w.deadline_seconds};
+            EvalOptions options;
+            options.memoize = false; // isolate the incremental path: memo
+                                     // growth is the one documented exception
+            options.incremental = true;
+            const EvalPlan plan(w.graph, arch);
+            EvalContext eval =
+                shared ? EvalContext(plan, ctx, options) : EvalContext(ctx, options);
+            Rng rng(22);
+            Mapping base = random_mapping(w.graph, w.cores, rng);
+            (void)eval.rebase(base);
+            Mapping neighbor = base; // scratch hoisted: copy-assign below reuses capacity
 
-        AllocationGuard guard;
-        double sink = 0.0;
-        for (int i = 0; i < 64; ++i) {
-            neighbor = base;
-            const NeighborOp op = random_neighbor_op(neighbor, rng, 0.4, false);
-            sink += eval.evaluate_neighbor(op).gamma;
+            AllocationGuard guard;
+            double sink = 0.0;
+            for (int i = 0; i < 64; ++i) {
+                neighbor = base;
+                const NeighborOp op = random_neighbor_op(neighbor, rng, 0.4, false);
+                sink += eval.evaluate_neighbor(op).gamma;
+            }
+            EXPECT_EQ(guard.allocations(), 0u)
+                << "suffix rescheduling allocated on " << w.label << plan_label(shared);
+            EXPECT_GT(sink, 0.0);
         }
-        EXPECT_EQ(guard.allocations(), 0u)
-            << "suffix rescheduling allocated on " << w.label;
-        EXPECT_GT(sink, 0.0);
     }
 }
 
@@ -129,22 +143,27 @@ TEST(EvalContextAlloc, SteadyStateRebaseIsAllocationFree) {
     const ScalingVector levels(w.cores, ScalingLevel{1});
     const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
                                 w.deadline_seconds};
-    EvalOptions options;
-    options.memoize = false;
-    EvalContext eval(ctx, options);
-    Rng rng(23);
-    std::vector<Mapping> bases;
-    for (int i = 0; i < 16; ++i) bases.push_back(random_mapping(w.graph, w.cores, rng));
-    // Warm-up pass: the per-core task lists grow (amortized, allowed)
-    // until each core has seen its high-water mark across these bases.
-    // The guarded replay of the same bases is the steady state.
-    for (const Mapping& base : bases) (void)eval.rebase(base);
+    const EvalPlan plan(w.graph, arch);
+    for (const bool shared : k_shared_plan) {
+        EvalOptions options;
+        options.memoize = false;
+        EvalContext eval =
+            shared ? EvalContext(plan, ctx, options) : EvalContext(ctx, options);
+        Rng rng(23);
+        std::vector<Mapping> bases;
+        for (int i = 0; i < 16; ++i) bases.push_back(random_mapping(w.graph, w.cores, rng));
+        // Warm-up pass: the per-core task lists grow (amortized, allowed)
+        // until each core has seen its high-water mark across these bases.
+        // The guarded replay of the same bases is the steady state.
+        for (const Mapping& base : bases) (void)eval.rebase(base);
 
-    AllocationGuard guard;
-    double sink = 0.0;
-    for (const Mapping& base : bases) sink += eval.rebase(base).gamma;
-    EXPECT_EQ(guard.allocations(), 0u) << "rebase() allocated in steady state";
-    EXPECT_GT(sink, 0.0);
+        AllocationGuard guard;
+        double sink = 0.0;
+        for (const Mapping& base : bases) sink += eval.rebase(base).gamma;
+        EXPECT_EQ(guard.allocations(), 0u) << "rebase() allocated in steady state"
+                                            << plan_label(shared);
+        EXPECT_GT(sink, 0.0);
+    }
 }
 
 TEST(EvalContextAlloc, MemoHitsAreAllocationFree) {
@@ -154,27 +173,31 @@ TEST(EvalContextAlloc, MemoHitsAreAllocationFree) {
     const ScalingVector levels(w.cores, ScalingLevel{1});
     const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
                                 w.deadline_seconds};
-    EvalContext eval(ctx); // defaults: memoize + incremental on
-    Rng rng(24);
-    Mapping base = random_mapping(w.graph, w.cores, rng);
-    (void)eval.rebase(base);
-    // First pass inserts into the memo (allowed to allocate)...
-    std::vector<NeighborOp> ops;
-    Mapping neighbor = base;
-    for (int i = 0; i < 32; ++i) {
-        neighbor = base;
-        ops.push_back(random_neighbor_op(neighbor, rng, 0.4, false));
-        (void)eval.evaluate_neighbor(ops.back());
-    }
-    const std::uint64_t hits_before = eval.stats().memo_hits;
+    const EvalPlan plan(w.graph, arch);
+    for (const bool shared : k_shared_plan) {
+        // Defaults: memoize + incremental on.
+        EvalContext eval = shared ? EvalContext(plan, ctx) : EvalContext(ctx);
+        Rng rng(24);
+        Mapping base = random_mapping(w.graph, w.cores, rng);
+        (void)eval.rebase(base);
+        // First pass inserts into the memo (allowed to allocate)...
+        std::vector<NeighborOp> ops;
+        Mapping neighbor = base;
+        for (int i = 0; i < 32; ++i) {
+            neighbor = base;
+            ops.push_back(random_neighbor_op(neighbor, rng, 0.4, false));
+            (void)eval.evaluate_neighbor(ops.back());
+        }
+        const std::uint64_t hits_before = eval.stats().memo_hits;
 
-    // ...the replay of the identical neighbourhood must be pure lookups.
-    AllocationGuard guard;
-    double sink = 0.0;
-    for (const NeighborOp& op : ops) sink += eval.evaluate_neighbor(op).gamma;
-    EXPECT_EQ(guard.allocations(), 0u) << "memo hit path allocated";
-    EXPECT_GT(eval.stats().memo_hits, hits_before) << "replay did not hit the memo";
-    EXPECT_GT(sink, 0.0);
+        // ...the replay of the identical neighbourhood must be pure lookups.
+        AllocationGuard guard;
+        double sink = 0.0;
+        for (const NeighborOp& op : ops) sink += eval.evaluate_neighbor(op).gamma;
+        EXPECT_EQ(guard.allocations(), 0u) << "memo hit path allocated" << plan_label(shared);
+        EXPECT_GT(eval.stats().memo_hits, hits_before) << "replay did not hit the memo";
+        EXPECT_GT(sink, 0.0);
+    }
 }
 
 TEST(EvalContextAlloc, MemoizedLookupOfKnownMappingIsAllocationFree) {
@@ -184,17 +207,21 @@ TEST(EvalContextAlloc, MemoizedLookupOfKnownMappingIsAllocationFree) {
     const ScalingVector levels(w.cores, ScalingLevel{1});
     const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
                                 w.deadline_seconds};
-    EvalContext eval(ctx);
-    Rng rng(25);
-    std::vector<Mapping> mappings;
-    for (int i = 0; i < 8; ++i) mappings.push_back(random_mapping(w.graph, w.cores, rng));
-    for (const Mapping& mapping : mappings) (void)eval.evaluate_memoized(mapping);
+    const EvalPlan plan(w.graph, arch);
+    for (const bool shared : k_shared_plan) {
+        EvalContext eval = shared ? EvalContext(plan, ctx) : EvalContext(ctx);
+        Rng rng(25);
+        std::vector<Mapping> mappings;
+        for (int i = 0; i < 8; ++i) mappings.push_back(random_mapping(w.graph, w.cores, rng));
+        for (const Mapping& mapping : mappings) (void)eval.evaluate_memoized(mapping);
 
-    AllocationGuard guard;
-    double sink = 0.0;
-    for (const Mapping& mapping : mappings) sink += eval.evaluate_memoized(mapping).gamma;
-    EXPECT_EQ(guard.allocations(), 0u) << "memoized lookup of a known mapping allocated";
-    EXPECT_GT(sink, 0.0);
+        AllocationGuard guard;
+        double sink = 0.0;
+        for (const Mapping& mapping : mappings) sink += eval.evaluate_memoized(mapping).gamma;
+        EXPECT_EQ(guard.allocations(), 0u) << "memoized lookup of a known mapping allocated"
+                                            << plan_label(shared);
+        EXPECT_GT(sink, 0.0);
+    }
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,11 @@ std::vector<Workload> workloads() {
     params.task_count = 16;
     out.push_back({"tgff16", generate_tgff_graph(params, 7), 3,
                    paper_tgff_deadline_seconds(16)});
+    // Sweep scale: deep suffixes and high fan-out (the search-tgff200
+    // benchmark graph).
+    params.task_count = 200;
+    out.push_back({"tgff200", generate_tgff_graph(params, 1), 6,
+                   paper_tgff_deadline_seconds(200)});
     return out;
 }
 
@@ -211,6 +217,183 @@ TEST(EvalContextEquivalence, ExploreJsonByteIdenticalAcrossPathsStrategiesAndThr
                 optimize_report_json(problem, name, explore(problem, fast)).dump();
             EXPECT_EQ(got, reference) << name << " with " << threads << " threads";
         }
+    }
+}
+
+// One plan, many scalings: contexts built from a single shared EvalPlan
+// (kept alive together and driven interleaved) must each reproduce
+// evaluate_design() at their own scaling — full, move, swap and rebase.
+TEST(EvalContextEquivalence, SharedPlanContextsMatchNaiveAtEveryScaling) {
+    TgffParams params;
+    params.task_count = 200;
+    struct Case {
+        std::string label;
+        TaskGraph graph;
+        double deadline_seconds;
+        std::vector<ScalingVector> scalings;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"tgff200", generate_tgff_graph(params, 1),
+                     paper_tgff_deadline_seconds(200),
+                     {{1, 1, 1, 1, 1, 1}, {4, 4, 4, 4, 4, 4}, {1, 2, 2, 3, 4, 4},
+                      {4, 3, 1, 1, 2, 3}}});
+    cases.push_back({"mpeg2 (batched)", mpeg2_decoder_graph(), mpeg2_deadline_seconds(),
+                     {{1, 1, 1, 1, 1, 1}, {3, 3, 3, 3, 3, 3}, {1, 4, 2, 1, 3, 2}}});
+    for (const Case& c : cases) {
+        const MpsocArchitecture arch(6, VoltageScalingTable::arm7_four_level());
+        const EvalPlan plan(c.graph, arch);
+        std::vector<EvaluationContext> problems;
+        for (const ScalingVector& levels : c.scalings)
+            problems.push_back(EvaluationContext{c.graph, arch, levels,
+                                                 SeuEstimator{SerModel{}},
+                                                 c.deadline_seconds});
+        std::vector<std::unique_ptr<EvalContext>> evals;
+        for (const EvaluationContext& problem : problems)
+            evals.push_back(std::make_unique<EvalContext>(plan, problem));
+
+        Rng rng(31);
+        const auto tasks = static_cast<std::int64_t>(c.graph.task_count());
+        for (int round = 0; round < 3; ++round) {
+            const Mapping base = random_mapping(c.graph, 6, rng);
+            for (std::size_t i = 0; i < evals.size(); ++i) {
+                const std::string where = c.label + " scaling " + std::to_string(i);
+                expect_bit_identical(evals[i]->evaluate(base),
+                                     evaluate_design(problems[i], base), where + " full");
+                expect_bit_identical(evals[i]->rebase(base),
+                                     evaluate_design(problems[i], base), where + " rebase");
+            }
+            for (int step = 0; step < 40; ++step) {
+                const auto t = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
+                const auto core = static_cast<CoreId>(rng.uniform_int(0, 5));
+                const auto b = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
+                Mapping moved = base;
+                moved.assign(t, core);
+                Mapping swapped = base;
+                swapped.assign(t, base.core_of(b));
+                swapped.assign(b, base.core_of(t));
+                for (std::size_t i = 0; i < evals.size(); ++i) {
+                    const std::string where = c.label + " scaling " + std::to_string(i);
+                    expect_bit_identical(evals[i]->evaluate_move(t, core),
+                                         evaluate_design(problems[i], moved), where + " move");
+                    expect_bit_identical(evals[i]->evaluate_swap(t, b),
+                                         evaluate_design(problems[i], swapped),
+                                         where + " swap");
+                }
+            }
+        }
+    }
+}
+
+TEST(EvalContextEquivalence, MismatchedPlanThrows) {
+    const TaskGraph graph = fig8_example_graph();
+    const TaskGraph copy = fig8_example_graph();
+    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
+    const MpsocArchitecture wider(4, VoltageScalingTable::arm7_three_level());
+    const MpsocArchitecture other_table(3, VoltageScalingTable::arm7_four_level());
+    const EvalPlan plan(graph, arch);
+    const EvaluationContext same{graph, arch, {1, 2, 3}, SeuEstimator{SerModel{}},
+                                 k_fig8_deadline_seconds};
+    EXPECT_NO_THROW(EvalContext(plan, same));
+    const EvaluationContext other_graph{copy, arch, {1, 2, 3}, SeuEstimator{SerModel{}},
+                                        k_fig8_deadline_seconds};
+    EXPECT_THROW(EvalContext(plan, other_graph), std::invalid_argument);
+    const EvaluationContext other_cores{graph, wider, {1, 2, 3, 3}, SeuEstimator{SerModel{}},
+                                        k_fig8_deadline_seconds};
+    EXPECT_THROW(EvalContext(plan, other_cores), std::invalid_argument);
+    const EvaluationContext other_levels{graph, other_table, {1, 2, 3},
+                                         SeuEstimator{SerModel{}}, k_fig8_deadline_seconds};
+    EXPECT_THROW(EvalContext(plan, other_levels), std::invalid_argument);
+}
+
+// The memo is keyed by Zobrist hashes: evaluate_move/evaluate_swap
+// derive a candidate's hash from the base's in O(1), evaluate_memoized
+// hashes the whole mapping. Both must land on the same memo entry in
+// either order and after any chain of rebases — a disagreement would
+// show up as a miss (a repeated evaluation), never as wrong metrics.
+TEST(EvalContextMemoKeys, IncrementalAndFullHashesAgree) {
+    TgffParams params;
+    params.task_count = 40;
+    const TaskGraph graph = generate_tgff_graph(params, 3);
+    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
+    const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}},
+                                paper_tgff_deadline_seconds(40)};
+    const EvalPlan plan(graph, arch);
+    EvalContext eval(plan, ctx);
+    Rng rng(41);
+    const auto tasks = static_cast<std::int64_t>(graph.task_count());
+
+    auto expect_hit = [&](const std::string& where, auto&& lookup) {
+        const EvalContext::Stats before = eval.stats();
+        lookup();
+        EXPECT_EQ(eval.stats().memo_hits, before.memo_hits + 1) << where;
+        EXPECT_EQ(eval.stats().full_evals, before.full_evals) << where;
+        EXPECT_EQ(eval.stats().incremental_evals, before.incremental_evals) << where;
+    };
+
+    Mapping base = random_mapping(graph, 4, rng);
+    for (int rebases = 0; rebases < 6; ++rebases) {
+        const std::string at = " after " + std::to_string(rebases + 1) + " rebase(s)";
+        eval.rebase(base);
+        // Pick a move and a swap that change the mapping, and a second
+        // pair for the reverse order, all distinct from each other.
+        auto pick_move = [&](TaskId& t, CoreId& core) {
+            t = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
+            core = static_cast<CoreId>((base.core_of(t) + 1 + rng.uniform_int(0, 2)) % 4);
+        };
+        auto pick_swap = [&](TaskId& a, TaskId& b) {
+            do {
+                a = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
+                b = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
+            } while (base.core_of(a) == base.core_of(b));
+        };
+        auto moved = [&](TaskId t, CoreId core) {
+            Mapping m = base;
+            m.assign(t, core);
+            return m;
+        };
+        auto swapped = [&](TaskId a, TaskId b) {
+            Mapping m = base;
+            m.assign(a, base.core_of(b));
+            m.assign(b, base.core_of(a));
+            return m;
+        };
+
+        // Incremental first, then the full-mapping lookup.
+        TaskId t = 0;
+        CoreId core = 0;
+        pick_move(t, core);
+        const DesignMetrics by_move = eval.evaluate_move(t, core);
+        const Mapping move_mapping = moved(t, core);
+        expect_hit("move then memoized" + at,
+                   [&] { expect_bit_identical(eval.evaluate_memoized(move_mapping), by_move,
+                                              "move then memoized" + at); });
+        TaskId a = 0;
+        TaskId b = 0;
+        pick_swap(a, b);
+        const DesignMetrics by_swap = eval.evaluate_swap(a, b);
+        const Mapping swap_mapping = swapped(a, b);
+        expect_hit("swap then memoized" + at,
+                   [&] { expect_bit_identical(eval.evaluate_memoized(swap_mapping), by_swap,
+                                              "swap then memoized" + at); });
+
+        // The reverse order: the full-mapping insert first.
+        pick_move(t, core);
+        const Mapping move_first = moved(t, core);
+        const DesignMetrics full_move = eval.evaluate_memoized(move_first);
+        expect_hit("memoized then move" + at, [&] {
+            expect_bit_identical(eval.evaluate_move(t, core), full_move,
+                                 "memoized then move" + at);
+        });
+        pick_swap(a, b);
+        const Mapping swap_first = swapped(a, b);
+        const DesignMetrics full_swap = eval.evaluate_memoized(swap_first);
+        expect_hit("memoized then swap" + at, [&] {
+            expect_bit_identical(eval.evaluate_swap(a, b), full_swap,
+                                 "memoized then swap" + at);
+        });
+
+        // Walk on: the next base is an accepted neighbour.
+        base = rebases % 2 == 0 ? move_mapping : swap_mapping;
     }
 }
 

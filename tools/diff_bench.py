@@ -6,7 +6,10 @@
 Prints a table of real-time ratios (current / baseline) for every
 benchmark present in both files, highlighting the key benchmarks the
 perf trajectory tracks (end-to-end explore, evaluation hot paths) by
-default. Informational only — exits 0 regardless of regressions, since
+default. When the two runs come from different hosts (the `num_cpus` or
+`mhz_per_cpu` fields of the files' `context` differ), a `host mismatch:`
+line naming each differing field precedes the table, since such ratios
+compare machines as much as code. Informational only — exits 0 regardless of regressions, since
 shared CI runners are too noisy to gate on; the table in the job log is
 the artifact.
 """
@@ -15,10 +18,14 @@ import json
 import re
 import sys
 
-KEY_DEFAULT = r"bm_explore|bm_multi_start|bm_eval_full|bm_sa_neighborhood_step|bm_strategy_search"
+KEY_DEFAULT = r"bm_explore|bm_multi_start|bm_eval_full|bm_eval_sweep|bm_sa_neighborhood_step|bm_strategy_search"
+
+
+HOST_FIELDS = ("num_cpus", "mhz_per_cpu")
 
 
 def load(path):
+    """Return (host context, {benchmark name: entry})."""
     with open(path) as handle:
         doc = json.load(handle)
     out = {}
@@ -26,7 +33,18 @@ def load(path):
         if bench.get("run_type") == "aggregate":
             continue
         out[bench["name"]] = bench
-    return out
+    return doc.get("context", {}), out
+
+
+def host_mismatch(baseline_context, current_context):
+    """One 'field baseline -> current' entry per differing host field."""
+    diffs = []
+    for field in HOST_FIELDS:
+        before = baseline_context.get(field)
+        after = current_context.get(field)
+        if before != after:
+            diffs.append(f"{field} {before} -> {after}")
+    return diffs
 
 
 def main():
@@ -38,12 +56,16 @@ def main():
     args = parser.parse_args()
 
     try:
-        baseline = load(args.baseline)
+        baseline_context, baseline = load(args.baseline)
     except OSError as error:
         print(f"diff_bench: no baseline ({error}); nothing to diff", file=sys.stderr)
         return 0
-    current = load(args.current)
+    current_context, current = load(args.current)
     key = re.compile(args.key)
+
+    diffs = host_mismatch(baseline_context, current_context)
+    if diffs:
+        print(f"host mismatch: {'; '.join(diffs)} (ratios compare hosts, not just code)")
 
     shared = sorted(set(baseline) & set(current))
     if not shared:
