@@ -154,15 +154,13 @@ BENCHMARK_CAPTURE(bm_eval_full, naive, true)->Arg(11)->Arg(60)->Arg(100);
 BENCHMARK_CAPTURE(bm_eval_full, ctx, false)->Arg(11)->Arg(60)->Arg(100);
 
 // Schedule-dominated evaluation on a fresh mapping every iteration (no
-// base, no memo reuse possible): measures the precomputed-order,
+// base): measures the precomputed-order,
 // allocation-free timing pass against the naive list scheduler path.
 void bm_eval_schedule(benchmark::State& state, bool naive) {
     const TaskGraph graph = benchmark_graph(state.range(0));
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
     const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}}, 10.0};
-    EvalOptions options = eval_options(naive);
-    options.memoize = false;
-    EvalContext eval(ctx, options);
+    EvalContext eval(ctx, eval_options(naive));
     Mapping mapping = round_robin_mapping(graph, 4);
     TaskId t = 0;
     for (auto _ : state) {
@@ -207,9 +205,8 @@ BENCHMARK_CAPTURE(bm_sa_neighborhood_step, ctx, false)->Arg(11)->Arg(60)->Arg(10
 // One Fig. 7 steepest-descent sweep — every task moved to every other
 // core off a rebased mapping — on the search-tgff200 problem shape:
 // the 200-task TGFF graph (generator seed 1), 6 cores, the four-level
-// table at a mixed scaling. The memo is off: repeating the sweep from
-// one base would make every pass after the first pure memo hits, and
-// the kernel measured here is the suffix replay.
+// table at a mixed scaling. The kernel measured here is the suffix
+// replay.
 void bm_eval_sweep(benchmark::State& state, bool naive) {
     TgffParams params;
     params.task_count = 200;
@@ -218,9 +215,7 @@ void bm_eval_sweep(benchmark::State& state, bool naive) {
     const MpsocArchitecture arch(cores, VoltageScalingTable::arm7_four_level());
     const EvaluationContext ctx{graph, arch, {1, 2, 2, 3, 4, 4}, SeuEstimator{SerModel{}},
                                 paper_tgff_deadline_seconds(200)};
-    EvalOptions options = eval_options(naive);
-    options.memoize = false;
-    EvalContext eval(ctx, options);
+    EvalContext eval(ctx, eval_options(naive));
     eval.rebase(round_robin_mapping(graph, cores));
     for (auto _ : state) {
         for (TaskId t = 0; t < graph.task_count(); ++t)

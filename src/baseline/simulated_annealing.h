@@ -64,7 +64,7 @@ public:
                       const CancellationToken* cancel = nullptr) const;
 
     /// Anneal on a caller-provided evaluation context (per-scaling
-    /// scratch + memo reuse; tests/benches select the naive-reference
+    /// scratch reuse; tests/benches select the naive-reference
     /// path through it). The walk is a pure function of
     /// (ctx, objective, initial, seed) for every EvalOptions choice.
     SaResult optimize(EvalContext& eval, MappingObjective objective, const Mapping& initial,

@@ -255,9 +255,9 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     EvaluationContext ctx{graph, arch, search.levels,
                                           SeuEstimator(ser_, policy_), deadline_seconds};
                     // The reusable per-start evaluation engine this
-                    // worker's search runs on: preallocated scratch,
-                    // incremental rescheduling and the memo table all
-                    // live here, private to this worker, so
+                    // worker's search runs on: preallocated scratch
+                    // and the incremental scheduler's base state live
+                    // here, private to this worker, so
                     // thread-count invariance is untouched; only the
                     // immutable plan is shared.
                     EvalContext eval(plan, ctx, params.eval);
@@ -355,7 +355,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // decided the whole admitted sequence.
     if (first_error != nullptr) std::rethrow_exception(first_error);
     // Persist whatever the run decided — on a stop this is the snapshot
-    // a resume continues from; on completion it doubles as a memoized
+    // a resume continues from; on completion it doubles as a cached
     // result (a resume replays it without searching).
     if (checkpoint != nullptr) checkpoint->flush();
     DseResult result = ledger.fold(queue.total(), skipped_count, stop.stop_requested());

@@ -87,12 +87,11 @@ struct DseParams {
     /// (`total_time_budget_seconds` / `search.time_budget_seconds`)
     /// or cancellation cuts searches short.
     std::size_t num_threads = 1;
-    /// Evaluation-path knobs for the per-scaling EvalContext each
-    /// worker runs its search on (core/eval_context.h). Every setting
-    /// — fast, memo/incremental disabled, or the naive reference —
-    /// yields bit-identical results; the default is the full fast
-    /// path. Exposed so the equivalence harness and the benches can
-    /// pin the optimization against the naive path end-to-end.
+    /// Evaluation path of the per-scaling EvalContext each worker runs
+    /// its search on (core/eval_context.h). The fast default and the
+    /// naive reference yield bit-identical results. Exposed so the
+    /// equivalence harness and the benches can pin the optimization
+    /// against the naive path end-to-end.
     EvalOptions eval;
     /// Bound-driven pruning: skip scaling combinations whose power and
     /// Gamma lower bounds are strictly dominated by an already-found

@@ -188,7 +188,6 @@ void EvalContext::prepare_scaling() {
     busy_delta_.resize(cores_);
     union_words_.resize(cores_ * plan_.words_);
     scratch_words_.resize(plan_.words_);
-    key_scratch_.resize(n_);
 
     base_finish_.resize(n_);
     base_arrival_.resize(ctx_.graph.edge_count());
@@ -348,22 +347,6 @@ DesignMetrics EvalContext::evaluate(const Mapping& mapping) {
     return evaluate_full(mapping, false);
 }
 
-DesignMetrics EvalContext::evaluate_memoized(const Mapping& mapping) {
-    if (options_.naive_reference) return evaluate_design(ctx_, mapping);
-    if (!options_.memoize) return evaluate(mapping);
-    check_mapping(mapping);
-    const CoreId* key = mapping.raw().data();
-    const std::uint64_t hash = hash_key(key);
-    if (const DesignMetrics* hit = memo_find(hash, key)) {
-        ++stats_.memo_hits;
-        return *hit;
-    }
-    ++stats_.full_evals;
-    const DesignMetrics metrics = evaluate_full(mapping, false);
-    memo_insert(hash, key, metrics);
-    return metrics;
-}
-
 DesignMetrics EvalContext::rebase(const Mapping& base) {
     base_ = base;
     if (options_.naive_reference) {
@@ -374,11 +357,6 @@ DesignMetrics EvalContext::rebase(const Mapping& base) {
     ++stats_.full_evals;
     base_metrics_ = evaluate_full(base_, true);
     has_base_ = true;
-    if (options_.memoize) {
-        const CoreId* key = base_.raw().data();
-        base_hash_ = hash_key(key);
-        if (memo_find(base_hash_, key) == nullptr) memo_insert(base_hash_, key, base_metrics_);
-    }
     return base_metrics_;
 }
 
@@ -386,28 +364,13 @@ DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
     if (!has_base_) throw std::logic_error("EvalContext::evaluate_move: call rebase() first");
     if (task >= n_) throw std::invalid_argument("EvalContext::evaluate_move: bad task id");
     if (to >= cores_) throw std::invalid_argument("EvalContext::evaluate_move: bad core id");
-    const CoreId from = base_.raw()[task];
-    if (to == from) return base_metrics_;
-    if (options_.naive_reference || !options_.incremental) {
+    if (to == base_.raw()[task]) return base_metrics_;
+    if (options_.naive_reference) {
         mapping_scratch_ = base_;
         mapping_scratch_.assign(task, to);
-        if (options_.naive_reference) return evaluate_design(ctx_, mapping_scratch_);
-        return evaluate_memoized(mapping_scratch_);
+        return evaluate_design(ctx_, mapping_scratch_);
     }
-    std::uint64_t hash = 0;
-    if (options_.memoize) {
-        std::copy(base_.raw().begin(), base_.raw().end(), key_scratch_.begin());
-        key_scratch_[task] = to;
-        hash = base_hash_ ^ zobrist(task, from) ^ zobrist(task, to);
-        if (const DesignMetrics* hit = memo_find(hash, key_scratch_.data())) {
-            ++stats_.memo_hits;
-            return *hit;
-        }
-    }
-    const Override ov{task, to, task, to};
-    const DesignMetrics metrics = evaluate_override(ov, plan_.suffix_start_[task]);
-    if (options_.memoize) memo_insert(hash, key_scratch_.data(), metrics);
-    return metrics;
+    return evaluate_override(Override{task, to, task, to}, plan_.suffix_start_[task]);
 }
 
 DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
@@ -417,30 +380,14 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
     const CoreId core_a = base_.raw()[a];
     const CoreId core_b = base_.raw()[b];
     if (a == b || core_a == core_b) return base_metrics_;
-    if (options_.naive_reference || !options_.incremental) {
+    if (options_.naive_reference) {
         mapping_scratch_ = base_;
         mapping_scratch_.assign(a, core_b);
         mapping_scratch_.assign(b, core_a);
-        if (options_.naive_reference) return evaluate_design(ctx_, mapping_scratch_);
-        return evaluate_memoized(mapping_scratch_);
+        return evaluate_design(ctx_, mapping_scratch_);
     }
-    std::uint64_t hash = 0;
-    if (options_.memoize) {
-        std::copy(base_.raw().begin(), base_.raw().end(), key_scratch_.begin());
-        key_scratch_[a] = core_b;
-        key_scratch_[b] = core_a;
-        hash = base_hash_ ^ zobrist(a, core_a) ^ zobrist(a, core_b) ^ zobrist(b, core_b) ^
-               zobrist(b, core_a);
-        if (const DesignMetrics* hit = memo_find(hash, key_scratch_.data())) {
-            ++stats_.memo_hits;
-            return *hit;
-        }
-    }
-    const Override ov{a, core_b, b, core_a};
-    const DesignMetrics metrics =
-        evaluate_override(ov, std::min(plan_.suffix_start_[a], plan_.suffix_start_[b]));
-    if (options_.memoize) memo_insert(hash, key_scratch_.data(), metrics);
-    return metrics;
+    return evaluate_override(Override{a, core_b, b, core_a},
+                             std::min(plan_.suffix_start_[a], plan_.suffix_start_[b]));
 }
 
 DesignMetrics EvalContext::evaluate_neighbor(const NeighborOp& op) {
@@ -573,62 +520,5 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
 
     return finish_metrics(latency);
 }
-
-// Zobrist key of "task on core": computed on demand (no table), so a
-// mapping's hash is the XOR of n keys and a move or swap updates it
-// with two or four.
-std::uint64_t EvalContext::zobrist(TaskId task, CoreId core) const {
-    return splitmix64(0x9e3779b97f4a7c15ULL ^
-                      (static_cast<std::uint64_t>(task) * cores_ + core));
-}
-
-std::uint64_t EvalContext::hash_key(const CoreId* key) const {
-    std::uint64_t hash = 0;
-    for (TaskId t = 0; t < n_; ++t) hash ^= zobrist(t, key[t]);
-    return hash;
-}
-
-const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* key) const {
-    if (memo_slots_.empty()) return nullptr;
-    const std::size_t mask = memo_slots_.size() - 1;
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-        const std::uint32_t slot = memo_slots_[i];
-        if (slot == 0) return nullptr;
-        const MemoEntry& entry = memo_entries_[slot - 1];
-        if (entry.hash == hash &&
-            std::equal(key, key + n_, memo_keys_.data() + entry.key_offset))
-            return &entry.metrics;
-    }
-}
-
-// seamap-lint: push-allow(hot-path-alloc) -- memo-table growth is the
-// documented exception to the zero-allocation steady state: inserts
-// amortize across the walk and stop entirely at memo_capacity; lookups
-// (the hit path) never allocate
-void EvalContext::memo_insert(std::uint64_t hash, const CoreId* key,
-                              const DesignMetrics& metrics) {
-    if (memo_entries_.size() >= options_.memo_capacity) return;
-    if (memo_slots_.empty()) memo_slots_.assign(2048, 0);
-    // Keep the open-addressing load factor below 0.7.
-    if ((memo_entries_.size() + 1) * 10 >= memo_slots_.size() * 7) {
-        std::vector<std::uint32_t> bigger(memo_slots_.size() * 2, 0);
-        const std::size_t mask = bigger.size() - 1;
-        for (std::size_t e = 0; e < memo_entries_.size(); ++e) {
-            std::size_t i = memo_entries_[e].hash & mask;
-            while (bigger[i] != 0) i = (i + 1) & mask;
-            bigger[i] = static_cast<std::uint32_t>(e + 1);
-        }
-        memo_slots_ = std::move(bigger);
-    }
-    const std::size_t offset = memo_keys_.size();
-    memo_keys_.insert(memo_keys_.end(), key, key + n_);
-    memo_entries_.push_back(MemoEntry{hash, offset, metrics});
-    const std::size_t mask = memo_slots_.size() - 1;
-    std::size_t i = hash & mask;
-    while (memo_slots_[i] != 0) i = (i + 1) & mask;
-    memo_slots_[i] = static_cast<std::uint32_t>(memo_entries_.size());
-    stats_.memo_entries = memo_entries_.size();
-}
-// seamap-lint: pop-allow(hot-path-alloc)
 
 } // namespace seamap

@@ -25,17 +25,16 @@
 //    (positions before the earliest predecessor of a moved task are
 //    provably unchanged), and only the affected cores' register unions
 //    and busy cycles are recomputed.
-//  - Memoization: a per-scaling memo table (open addressing, flat key
-//    arena) returns previously computed metrics for revisited
-//    candidates, so a random walk that undoes a move never pays for the
-//    same design twice. Keys are Zobrist hashes — the XOR of one
-//    computed key per (task, core) pair — so a move or swap updates the
-//    base mapping's hash in O(1); a hash match is always confirmed by
-//    comparing the full mapping.
 //
-// Determinism contract: every path (full, incremental, memoized)
-// reproduces evaluate_design() BIT-IDENTICALLY — the same floating-
-// point operations in the same order. The plan's time tables hold
+// Every candidate is scored by scheduling it, as in the paper's Fig. 7
+// search: a full pass (evaluate, rebase) or a suffix replay
+// (evaluate_move, evaluate_swap). There is no result cache — revisits
+// are rare in the walk (well under 1% of candidates), so one would
+// cost more memory than the replays it saves.
+//
+// Determinism contract: both paths (full, incremental) reproduce
+// evaluate_design() BIT-IDENTICALLY — the same floating-point
+// operations in the same order. The plan's time tables hold
 // exactly the quotients the naive path computes per call. The
 // naive_reference option turns the context into a thin wrapper over
 // evaluate_design() so the equivalence harness
@@ -60,19 +59,12 @@
 
 namespace seamap {
 
-/// Evaluation-path knobs. Defaults give the full fast path; the
-/// reference flag pins the optimization to the naive implementation.
+/// Evaluation-path choice. The default is the fast path; the reference
+/// flag pins the optimization to the naive implementation.
 struct EvalOptions {
-    /// Per-scaling memo table over complete mappings.
-    bool memoize = true;
-    /// Suffix-only rescheduling for move/swap neighbours.
-    bool incremental = true;
-    /// Memo entry cap; inserts stop beyond it (lookups keep working).
-    std::size_t memo_capacity = 1u << 20;
     /// Route every evaluation through evaluate_design() instead of the
-    /// optimized path (no scratch reuse, no memo, no incremental).
-    /// This is the pre-optimization reference the equivalence tests
-    /// and benches compare against.
+    /// optimized path (no scratch reuse, no suffix replay). This is the
+    /// test oracle the equivalence tests and benches compare against.
     bool naive_reference = false;
 };
 
@@ -184,10 +176,6 @@ public:
     /// incomplete mappings.
     DesignMetrics evaluate(const Mapping& mapping);
 
-    /// evaluate() behind the memo table: a revisited mapping returns
-    /// its cached metrics without re-scheduling.
-    DesignMetrics evaluate_memoized(const Mapping& mapping);
-
     /// Establish `base` as the incremental-evaluation anchor (the
     /// search's current mapping) and return its metrics. Records the
     /// per-position timeline state evaluate_move/evaluate_swap restart
@@ -202,11 +190,10 @@ public:
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 
     /// Metrics of base() with `task` moved to core `to` (base itself is
-    /// left untouched). Memoized, then suffix-rescheduled: only
-    /// placement positions from the earliest predecessor of `task`
-    /// onward are replayed, and only the two affected cores' register
-    /// unions and busy cycles are recomputed. Requires a prior
-    /// rebase().
+    /// left untouched), suffix-rescheduled: only placement positions
+    /// from the earliest predecessor of `task` onward are replayed, and
+    /// only the two affected cores' register unions and busy cycles are
+    /// recomputed. Requires a prior rebase().
     DesignMetrics evaluate_move(TaskId task, CoreId to);
 
     /// Metrics of base() with tasks `a` and `b` exchanging cores.
@@ -220,8 +207,10 @@ public:
     struct Stats {
         std::uint64_t full_evals = 0;        ///< complete timing passes (incl. rebase)
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
+        /// Always 0: there is no result cache. Kept because the
+        /// end-to-end benchmark's probes (e2ebench/src/probes.cpp) read
+        /// it, and that harness is only changed with the benchmark.
         std::uint64_t memo_hits = 0;
-        std::uint64_t memo_entries = 0;
     };
     const Stats& stats() const { return stats_; }
 
@@ -246,13 +235,6 @@ private:
     DesignMetrics evaluate_override(const Override& ov, std::size_t suffix_pos);
     DesignMetrics finish_metrics(double latency);
     void check_mapping(const Mapping& mapping) const;
-
-    // Memo table: open addressing over a flat key arena, keyed by
-    // Zobrist hashes (see zobrist()).
-    std::uint64_t zobrist(TaskId task, CoreId core) const;
-    std::uint64_t hash_key(const CoreId* key) const;
-    const DesignMetrics* memo_find(std::uint64_t hash, const CoreId* key) const;
-    void memo_insert(std::uint64_t hash, const CoreId* key, const DesignMetrics& metrics);
 
     std::uint64_t weighted_bits(const std::uint64_t* row) const;
 
@@ -281,13 +263,11 @@ private:
     std::vector<std::int64_t> busy_delta_;
     std::vector<std::uint64_t> union_words_;   ///< [core * words_ + w]
     std::vector<std::uint64_t> scratch_words_; ///< one row, incremental path
-    std::vector<CoreId> key_scratch_;
     Mapping mapping_scratch_; ///< naive_reference candidate materialization
 
     // Incremental base state (valid while has_base_).
     bool has_base_ = false;
     Mapping base_;
-    std::uint64_t base_hash_ = 0; ///< hash_key(base_), when memoizing
     DesignMetrics base_metrics_;
     std::vector<double> base_finish_;
     std::vector<double> base_arrival_;      ///< per edge: data-arrival instant
@@ -301,16 +281,6 @@ private:
     std::vector<std::size_t> core_task_offsets_; ///< cores_ + 1 entries
     std::vector<std::size_t> core_task_cursor_;  ///< counting-sort scratch
     std::vector<TaskId> core_task_ids_;          ///< n_ entries
-
-    // Memo storage.
-    struct MemoEntry {
-        std::uint64_t hash = 0;
-        std::size_t key_offset = 0;
-        DesignMetrics metrics;
-    };
-    std::vector<MemoEntry> memo_entries_;
-    std::vector<std::uint32_t> memo_slots_; ///< entry index + 1; 0 = empty
-    std::vector<CoreId> memo_keys_;
 
     Stats stats_;
 };

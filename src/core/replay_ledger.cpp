@@ -24,6 +24,30 @@ bool front_prunes(const DominanceFront& front, const std::vector<ScalingBounds>&
                        [&](const ScalingBounds& bounds) { return front.dominates(bounds); });
 }
 
+/// A feasible design powers some case, so it lies on or above that
+/// case's bound pair in both coordinates.
+bool covered_by_some_case(const DesignMetrics& metrics,
+                          const std::vector<ScalingBounds>& cases) {
+    return std::any_of(cases.begin(), cases.end(), [&](const ScalingBounds& bounds) {
+        return metrics.power_mw >= bounds.power_mw_lb && metrics.gamma >= bounds.gamma_lb;
+    });
+}
+
+/// The bound audit: every searched feasible design of a slot with cases
+/// must respect one of them. Runs on every slot, so an unsound bound is
+/// caught deterministically rather than only when a racing worker
+/// happens to prune.
+void audit_bounds(std::uint64_t rank, const DseSlotRecord& verdict,
+                  const std::vector<ScalingBounds>& cases) {
+    if (cases.empty() || verdict.kind != DseSlotRecord::Kind::feasible) return;
+    if (covered_by_some_case(verdict.point.metrics, cases) &&
+        (!verdict.has_min_power || covered_by_some_case(verdict.min_power_point.metrics, cases)))
+        return;
+    throw std::logic_error("DesignSpaceExplorer: the design found for scaling combination " +
+                           std::to_string(rank) +
+                           " lies below every case bound — scaling bounds are unsound");
+}
+
 } // namespace
 
 ReplayLedger::ReplayLedger(DseCheckpointer* checkpoint) : checkpoint_(checkpoint) {
@@ -106,6 +130,8 @@ void ReplayLedger::decide(Slot& slot) {
     } else if (verdict->kind == DseSlotRecord::Kind::pruned && !restored) {
         throw std::logic_error("DesignSpaceExplorer: worker pruned a slot the deterministic "
                                "replay keeps — scaling bounds are unsound");
+    } else if (!restored) {
+        audit_bounds(slot.rank, *verdict, slot.cases);
     }
     slot.cases = {};
     if (!verdict) return;

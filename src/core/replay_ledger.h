@@ -75,8 +75,10 @@ public:
     /// The last start of slot `pos` finished. `verdict` is its folded
     /// outcome (kind pruned when a worker skipped it as dominated), or
     /// nullopt when a stop cut a start short. Decides every slot this
-    /// unblocks, in pop order. Throws std::logic_error when a worker
-    /// pruned a slot the replay keeps: the scaling bounds are unsound.
+    /// unblocks, in pop order. Throws std::logic_error when the scaling
+    /// bounds are unsound: a worker pruned a slot the replay keeps, or
+    /// a searched slot's feasible design (or min-power design) lies
+    /// below every one of its cases' bound pairs.
     void complete(std::size_t pos, std::optional<DseSlotRecord> verdict);
 
     /// The final fold, once every admitted slot completed: counters plus

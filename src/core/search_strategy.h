@@ -41,8 +41,8 @@ public:
                                      const CancellationToken* cancel = nullptr) const = 0;
 
     /// Hot-path entry the explorer actually calls: the per-scaling
-    /// EvalContext (core/eval_context.h) carries preallocated scratch,
-    /// the memo table and the incremental scheduler for this worker.
+    /// EvalContext (core/eval_context.h) carries preallocated scratch
+    /// and the incremental scheduler for this worker.
     /// The default forwards to the EvaluationContext overload, so
     /// custom strategies that never heard of EvalContext keep working;
     /// the built-ins override it to run their walks on `eval`

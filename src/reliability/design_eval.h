@@ -7,8 +7,7 @@
 // evaluate_design() is the *reference* implementation: it builds a
 // fresh schedule and fresh accumulators per call. Search hot loops run
 // on core/eval_context.h instead — a reusable per-scaling engine with
-// preallocated scratch, incremental rescheduling and memoization that
-// is pinned bit-identical to this function by
+// preallocated scratch and incremental rescheduling that is pinned bit-identical to this function by
 // tests/core/eval_context_equivalence_test.cpp. Change the arithmetic
 // here and the fast path must change in lockstep (the harness fails
 // loudly otherwise).

@@ -3,10 +3,12 @@
 #include "util/error.h"
 #include "util/strings.h"
 
+#include <cctype>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 namespace seamap {
 
@@ -48,16 +50,22 @@ public:
     explicit LineReader(std::istream& is) : is_(is) {}
 
     /// Next non-empty, non-comment line split into fields; nullopt at EOF.
+    /// Fields are separated by runs of std::isspace characters — the set
+    /// a classic-locale `stream >> field` skips — so tabs, CR, \v and \f
+    /// separate like spaces.
     std::optional<std::vector<std::string>> next() {
-        std::string line;
-        while (std::getline(is_, line)) {
+        while (std::getline(is_, line_)) {
             ++line_number_;
-            const std::string_view trimmed = trim(line);
+            const std::string_view trimmed = trim(line_);
             if (trimmed.empty() || trimmed.front() == '#') continue;
             std::vector<std::string> fields;
-            std::istringstream fs{std::string(trimmed)};
-            std::string field;
-            while (fs >> field) fields.push_back(field);
+            auto is_space = [](char ch) { return std::isspace(static_cast<unsigned char>(ch)); };
+            for (std::size_t i = 0; i < trimmed.size();) {
+                const std::size_t begin = i;
+                while (i < trimmed.size() && !is_space(trimmed[i])) ++i;
+                fields.emplace_back(trimmed.substr(begin, i - begin));
+                while (i < trimmed.size() && is_space(trimmed[i])) ++i;
+            }
             return fields;
         }
         return std::nullopt;
@@ -102,11 +110,12 @@ public:
             fail("expected '" + keyword + "', got '" + (*fields)[0] + "'");
         if (fields->size() != field_count)
             fail("'" + keyword + "' expects " + std::to_string(field_count - 1) + " fields");
-        return *fields;
+        return std::move(*fields);
     }
 
 private:
     std::istream& is_;
+    std::string line_; ///< getline buffer, reused across lines
     std::size_t line_number_ = 0;
 };
 

@@ -1,7 +1,6 @@
 // The equivalence harness pinning the EvalContext fast path to the
-// naive evaluate_design() path BIT-IDENTICALLY: full evaluation,
-// incremental move/swap re-evaluation and memoized lookups must all
-// produce exactly the doubles the naive path produces, across Fig. 8,
+// naive evaluate_design() path BIT-IDENTICALLY: full evaluation and
+// incremental move/swap re-evaluation must both produce exactly the doubles the naive path produces, across Fig. 8,
 // MPEG-2 and seeded random TGFF graphs x every scaling combination —
 // and whole searches / explorations driven through either path must
 // produce byte-identical results for all strategies and thread counts.
@@ -85,10 +84,6 @@ TEST(EvalContextEquivalence, FullEvaluationMatchesNaiveAcrossAllScalings) {
             for (const Mapping& mapping : mappings) {
                 const DesignMetrics naive = evaluate_design(ctx, mapping);
                 expect_bit_identical(eval.evaluate(mapping), naive, w.label + " evaluate");
-                expect_bit_identical(eval.evaluate_memoized(mapping), naive,
-                                     w.label + " memoized miss/insert");
-                expect_bit_identical(eval.evaluate_memoized(mapping), naive,
-                                     w.label + " memoized hit");
             }
         }
     }
@@ -143,23 +138,6 @@ TEST(EvalContextEquivalence, IncrementalMoveAndSwapMatchNaive) {
     }
 }
 
-TEST(EvalContextEquivalence, MemoHitsAreServedWithoutReevaluation) {
-    const TaskGraph graph = mpeg2_decoder_graph();
-    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-    const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}},
-                                mpeg2_deadline_seconds()};
-    EvalContext eval(ctx);
-    const Mapping base = round_robin_mapping(graph, 4);
-    eval.rebase(base);
-    const DesignMetrics first = eval.evaluate_move(0, 1);
-    const auto incremental_before = eval.stats().incremental_evals;
-    const DesignMetrics again = eval.evaluate_move(0, 1);
-    EXPECT_EQ(eval.stats().incremental_evals, incremental_before)
-        << "revisited candidate must be a memo hit, not a re-evaluation";
-    EXPECT_GT(eval.stats().memo_hits, 0u);
-    expect_bit_identical(again, first, "memo hit");
-}
-
 TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
     for (const Workload& w : workloads()) {
         const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
@@ -176,21 +154,15 @@ TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
             EvalContext naive_eval(ctx, naive_options);
             const LocalSearchResult reference = strategy->search(naive_eval, initial, 99);
 
-            std::vector<EvalOptions> variants(3);
-            variants[0] = EvalOptions{}; // full fast path
-            variants[1].memoize = false;
-            variants[2].incremental = false;
-            for (const EvalOptions& variant : variants) {
-                EvalContext eval(ctx, variant);
-                const LocalSearchResult got = strategy->search(eval, initial, 99);
-                const std::string where = w.label + " " + name;
-                EXPECT_EQ(got.best_mapping, reference.best_mapping) << where;
-                expect_bit_identical(got.best_metrics, reference.best_metrics, where);
-                EXPECT_EQ(got.found_feasible, reference.found_feasible) << where;
-                EXPECT_EQ(got.iterations_run, reference.iterations_run) << where;
-                EXPECT_EQ(got.improvements, reference.improvements) << where;
-                EXPECT_EQ(got.evaluations, reference.evaluations) << where;
-            }
+            EvalContext eval(ctx);
+            const LocalSearchResult got = strategy->search(eval, initial, 99);
+            const std::string where = w.label + " " + name;
+            EXPECT_EQ(got.best_mapping, reference.best_mapping) << where;
+            expect_bit_identical(got.best_metrics, reference.best_metrics, where);
+            EXPECT_EQ(got.found_feasible, reference.found_feasible) << where;
+            EXPECT_EQ(got.iterations_run, reference.iterations_run) << where;
+            EXPECT_EQ(got.improvements, reference.improvements) << where;
+            EXPECT_EQ(got.evaluations, reference.evaluations) << where;
         }
     }
 }
@@ -303,98 +275,6 @@ TEST(EvalContextEquivalence, MismatchedPlanThrows) {
     const EvaluationContext other_levels{graph, other_table, {1, 2, 3},
                                          SeuEstimator{SerModel{}}, k_fig8_deadline_seconds};
     EXPECT_THROW(EvalContext(plan, other_levels), std::invalid_argument);
-}
-
-// The memo is keyed by Zobrist hashes: evaluate_move/evaluate_swap
-// derive a candidate's hash from the base's in O(1), evaluate_memoized
-// hashes the whole mapping. Both must land on the same memo entry in
-// either order and after any chain of rebases — a disagreement would
-// show up as a miss (a repeated evaluation), never as wrong metrics.
-TEST(EvalContextMemoKeys, IncrementalAndFullHashesAgree) {
-    TgffParams params;
-    params.task_count = 40;
-    const TaskGraph graph = generate_tgff_graph(params, 3);
-    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-    const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}},
-                                paper_tgff_deadline_seconds(40)};
-    const EvalPlan plan(graph, arch);
-    EvalContext eval(plan, ctx);
-    Rng rng(41);
-    const auto tasks = static_cast<std::int64_t>(graph.task_count());
-
-    auto expect_hit = [&](const std::string& where, auto&& lookup) {
-        const EvalContext::Stats before = eval.stats();
-        lookup();
-        EXPECT_EQ(eval.stats().memo_hits, before.memo_hits + 1) << where;
-        EXPECT_EQ(eval.stats().full_evals, before.full_evals) << where;
-        EXPECT_EQ(eval.stats().incremental_evals, before.incremental_evals) << where;
-    };
-
-    Mapping base = random_mapping(graph, 4, rng);
-    for (int rebases = 0; rebases < 6; ++rebases) {
-        const std::string at = " after " + std::to_string(rebases + 1) + " rebase(s)";
-        eval.rebase(base);
-        // Pick a move and a swap that change the mapping, and a second
-        // pair for the reverse order, all distinct from each other.
-        auto pick_move = [&](TaskId& t, CoreId& core) {
-            t = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
-            core = static_cast<CoreId>((base.core_of(t) + 1 + rng.uniform_int(0, 2)) % 4);
-        };
-        auto pick_swap = [&](TaskId& a, TaskId& b) {
-            do {
-                a = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
-                b = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
-            } while (base.core_of(a) == base.core_of(b));
-        };
-        auto moved = [&](TaskId t, CoreId core) {
-            Mapping m = base;
-            m.assign(t, core);
-            return m;
-        };
-        auto swapped = [&](TaskId a, TaskId b) {
-            Mapping m = base;
-            m.assign(a, base.core_of(b));
-            m.assign(b, base.core_of(a));
-            return m;
-        };
-
-        // Incremental first, then the full-mapping lookup.
-        TaskId t = 0;
-        CoreId core = 0;
-        pick_move(t, core);
-        const DesignMetrics by_move = eval.evaluate_move(t, core);
-        const Mapping move_mapping = moved(t, core);
-        expect_hit("move then memoized" + at,
-                   [&] { expect_bit_identical(eval.evaluate_memoized(move_mapping), by_move,
-                                              "move then memoized" + at); });
-        TaskId a = 0;
-        TaskId b = 0;
-        pick_swap(a, b);
-        const DesignMetrics by_swap = eval.evaluate_swap(a, b);
-        const Mapping swap_mapping = swapped(a, b);
-        expect_hit("swap then memoized" + at,
-                   [&] { expect_bit_identical(eval.evaluate_memoized(swap_mapping), by_swap,
-                                              "swap then memoized" + at); });
-
-        // The reverse order: the full-mapping insert first.
-        pick_move(t, core);
-        const Mapping move_first = moved(t, core);
-        const DesignMetrics full_move = eval.evaluate_memoized(move_first);
-        expect_hit("memoized then move" + at, [&] {
-            expect_bit_identical(eval.evaluate_move(t, core), full_move,
-                                 "memoized then move" + at);
-        });
-        pick_swap(a, b);
-        const Mapping swap_first = swapped(a, b);
-        const DesignMetrics full_swap = eval.evaluate_memoized(swap_first);
-        expect_hit("memoized then swap" + at, [&] {
-            expect_bit_identical(eval.evaluate_swap(a, b), full_swap,
-                                 "memoized then swap" + at);
-        });
-
-        // Walk on: the next base is an accepted neighbour.
-        base = rebases % 2 == 0 ? move_mapping : swap_mapping;
-    }
 }
 
 TEST(EvalContextEquivalence, Validation) {

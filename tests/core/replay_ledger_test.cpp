@@ -86,6 +86,46 @@ TEST(ReplayLedger, WorkerPrunedSlotTheReplayKeepsMeansUnsoundBounds) {
     }
 }
 
+// The bound audit runs on every searched slot, not only when a worker
+// happens to prune: a feasible design must lie on or above some case's
+// bound pair in both coordinates.
+TEST(ReplayLedger, SearchedDesignBelowEveryCaseBoundMeansUnsoundBounds) {
+    const std::vector<ScalingBounds> cases = {{2.0, 5.0}, {3.0, 1.0}};
+    // True when deciding a slot with `cases` and `verdict` passes the audit.
+    auto audited = [&](const DseSlotRecord& verdict) {
+        ReplayLedger ledger;
+        const ReplayLedger::Admission admission = ledger.admit(4, levels_of(4), cases);
+        try {
+            ledger.complete(admission.pos, verdict);
+        } catch (const std::logic_error& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("combination 4"), std::string::npos) << what;
+            EXPECT_NE(what.find("scaling bounds are unsound"), std::string::npos) << what;
+            return false;
+        }
+        return true;
+    };
+    EXPECT_TRUE(audited(feasible(4, 2.0, 5.0)));  // on the first case's pair
+    EXPECT_TRUE(audited(feasible(4, 3.5, 1.0)));  // above the second case only
+    EXPECT_FALSE(audited(feasible(4, 1.0, 0.5))); // below both
+    // Above each case in one coordinate, but neither in both.
+    EXPECT_FALSE(audited(feasible(4, 2.5, 2.0)));
+
+    // The min-power design is audited too.
+    DseSlotRecord tracked = feasible(4, 3.0, 6.0);
+    tracked.has_min_power = true;
+    tracked.min_power_point = feasible(4, 2.0, 5.0).point;
+    EXPECT_TRUE(audited(tracked));
+    tracked.min_power_point = feasible(4, 1.5, 6.0).point;
+    EXPECT_FALSE(audited(tracked));
+
+    // No cases (pruning off) and no_design verdicts have nothing to audit.
+    ReplayLedger unbounded;
+    const ReplayLedger::Admission admission = unbounded.admit(4, levels_of(4), {});
+    EXPECT_NO_THROW(unbounded.complete(admission.pos, feasible(4, 0.0, 0.0)));
+    EXPECT_TRUE(audited(no_design(4)));
+}
+
 TEST(ReplayLedger, RestoredRecordForAnotherCombinationIsAMismatch) {
     RestoredCheckpoint snapshot("diverge", {pruned(5)});
     ReplayLedger ledger(snapshot.get());

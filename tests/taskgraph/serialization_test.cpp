@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -50,24 +53,46 @@ TEST(Serialization, RoundTripFig8) {
 }
 
 TEST(Serialization, CommentsAndBlankLinesIgnored) {
-    std::stringstream buffer;
-    buffer << "# a comment\n\n"
-           << "graph tiny\n"
-           << "batches 2\n"
-           << "# registers follow\n"
-           << "registers 1\n"
-           << "reg r0 32\n"
-           << "tasks 2\n"
-           << "task a 10 1 0\n"
-           << "task b 20 0\n"
-           << "edges 1\n"
-           << "edge 0 1 5\n";
-    const TaskGraph graph = read_task_graph(buffer);
+    const std::vector<std::string> lines = {
+        "# a comment", "", "graph tiny", "batches 2", "# registers follow", "registers 1",
+        "reg r0 32", "tasks 2", "task a 10 1 0", "task b 20 0", "edges 1", "edge 0 1 5"};
+    // Rebuild the text with every single-space separator replaced by
+    // `sep`, each line wrapped in `lead`/`trail` and ended by `eol`.
+    auto text = [&](const std::string& sep, const std::string& lead, const std::string& trail,
+                    const std::string& eol) {
+        std::string out;
+        for (const std::string& line : lines) {
+            out += lead;
+            for (const char ch : line) out += ch == ' ' ? sep : std::string(1, ch);
+            out += trail + eol;
+        }
+        return out;
+    };
+    std::stringstream canonical(text(" ", "", "", "\n"));
+    const TaskGraph graph = read_task_graph(canonical);
     EXPECT_EQ(graph.name(), "tiny");
     EXPECT_EQ(graph.batch_count(), 2u);
     EXPECT_EQ(graph.task_count(), 2u);
     EXPECT_EQ(graph.task(0).exec_cycles, 10u);
     EXPECT_EQ(graph.edge(0).comm_cycles, 5u);
+
+    // Every whitespace character a stream's `>>` skips separates fields
+    // the same way, wherever it appears on a line.
+    const std::vector<std::pair<std::string, std::string>> variants = {
+        {"tabs", text("\t", "", "", "\n")},
+        {"CRLF", text(" ", "", "", "\r\n")},
+        {"runs of spaces", text("    ", "", "", "\n")},
+        {"vertical tab and form feed", text("\v\f", "", "", "\n")},
+        {"mixed runs", text(" \t\v \f", "", "", "\n")},
+        {"trailing whitespace", text(" ", "", " \t ", "\n")},
+        {"leading whitespace", text(" ", "\t  ", "", "\n")},
+        {"everything at once", text("\t \v", " \f", "\t \r", "\r\n")},
+    };
+    for (const auto& [label, variant] : variants) {
+        SCOPED_TRACE(label);
+        std::stringstream buffer(variant);
+        expect_graphs_equal(read_task_graph(buffer), graph);
+    }
 }
 
 TEST(Serialization, WrongKeywordReportsLine) {
