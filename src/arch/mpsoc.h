@@ -38,4 +38,10 @@ private:
     PowerModel power_;
 };
 
+class HashStream; // util/checkpoint.h
+
+/// Mix the architecture's identity (cores, operating points, power
+/// parameters) into a checkpoint state hash; both checkpoint kinds call it.
+void mix_identity(HashStream& h, const MpsocArchitecture& arch);
+
 } // namespace seamap

@@ -20,19 +20,9 @@ namespace {
 // levels are not stored: the combination index recovers them from the
 // deterministic enumeration on resume.
 
-std::string csv_of_mapping(const Mapping& mapping) {
-    std::string out;
-    const std::vector<CoreId>& raw = mapping.raw();
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(raw[i]);
-    }
-    return out;
-}
-
 void encode_point(std::string& out, const DsePoint& point) {
     out += ' ';
-    out += csv_of_mapping(point.mapping);
+    out += csv_of_ints(point.mapping.raw());
     out += ' ' + hex_of_double(point.metrics.tm_seconds);
     out += ' ' + hex_of_double(point.metrics.latency_seconds);
     out += ' ' + std::to_string(point.metrics.register_bits);
@@ -63,22 +53,16 @@ std::string encode_record(const DseSlotRecord& record) {
 
 Mapping mapping_of_csv(const std::string& path, const std::string& csv,
                        std::size_t task_count, std::size_t core_count) {
-    const std::vector<std::string> fields = split(csv, ',');
-    if (fields.size() != task_count)
-        fail_decode(path, "mapping has " + std::to_string(fields.size()) + " entries for " +
+    const std::vector<std::uint64_t> cores = u64s_of_csv(csv, path);
+    if (cores.size() != task_count)
+        fail_decode(path, "mapping has " + std::to_string(cores.size()) + " entries for " +
                               std::to_string(task_count) + " tasks");
     Mapping mapping(task_count, core_count);
-    for (std::size_t t = 0; t < fields.size(); ++t) {
-        unsigned long long core = 0;
-        try {
-            core = parse_u64(fields[t]);
-        } catch (const std::exception&) {
-            fail_decode(path, "non-numeric mapping entry '" + fields[t] + "'");
-        }
-        if (core >= core_count)
-            fail_decode(path, "mapping entry " + std::to_string(core) + " exceeds core count " +
-                                  std::to_string(core_count));
-        mapping.assign(static_cast<TaskId>(t), static_cast<CoreId>(core));
+    for (std::size_t t = 0; t < cores.size(); ++t) {
+        if (cores[t] >= core_count)
+            fail_decode(path, "mapping entry " + std::to_string(cores[t]) +
+                                  " exceeds core count " + std::to_string(core_count));
+        mapping.assign(static_cast<TaskId>(t), static_cast<CoreId>(cores[t]));
     }
     return mapping;
 }
@@ -151,50 +135,9 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     // changed the slot pop order, so v1 snapshots do not replay; the
     // salt makes them fail the state-hash check cleanly.
     h.mix("seamap-dse-state-v2");
-
-    // Application: name, batching, register inventory, tasks, edges.
-    h.mix(graph.name());
-    h.mix(graph.batch_count());
-    const RegisterFile& regs = graph.register_file();
-    h.mix(regs.size());
-    for (std::size_t r = 0; r < regs.size(); ++r) {
-        h.mix(regs.name(static_cast<RegisterId>(r)));
-        h.mix(regs.bits(static_cast<RegisterId>(r)));
-    }
-    h.mix(graph.task_count());
-    for (std::size_t t = 0; t < graph.task_count(); ++t) {
-        const Task& task = graph.task(static_cast<TaskId>(t));
-        h.mix(task.name);
-        h.mix(task.exec_cycles);
-        h.mix(task.registers.count());
-        task.registers.for_each([&](RegisterId id) { h.mix(id); });
-    }
-    h.mix(graph.edge_count());
-    for (const Edge& edge : graph.edges()) {
-        h.mix(edge.src);
-        h.mix(edge.dst);
-        h.mix(edge.comm_cycles);
-    }
-
-    // Architecture: cores, operating points, power parameters.
-    h.mix(arch.core_count());
-    const VoltageScalingTable& table = arch.scaling_table();
-    h.mix(table.level_count());
-    for (std::size_t l = 1; l <= table.level_count(); ++l) {
-        const OperatingPoint& op = table.at_level(static_cast<ScalingLevel>(l));
-        h.mix_double(op.f_mhz);
-        h.mix_double(op.vdd);
-    }
-    const PowerParams& power = arch.power_model().params();
-    h.mix_double(power.c_eff_farads);
-    h.mix_double(power.idle_activity);
-
-    // Reliability model and constraint.
-    const SerParams& sp = ser.params();
-    h.mix_double(sp.ser_ref_per_bit_cycle);
-    h.mix_double(sp.ref_vdd);
-    h.mix_double(sp.ref_f_mhz);
-    h.mix_double(sp.voltage_exponent_k);
+    mix_identity(h, graph);
+    mix_identity(h, arch);
+    mix_identity(h, ser);
     h.mix(static_cast<std::uint64_t>(policy));
     h.mix_double(deadline_seconds);
 
@@ -220,72 +163,29 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
 }
 
 DseCheckpointer::DseCheckpointer(std::string path, std::uint64_t state_hash)
-    : path_(std::move(path)), state_hash_(state_hash) {}
-
-void DseCheckpointer::set_cadence(std::uint64_t every_records, double interval_seconds) {
-    std::lock_guard lock(mutex_);
-    every_records_ = every_records;
-    timer_ = IntervalTimer(interval_seconds);
-}
+    : CheckpointFile(std::move(path), "dse", state_hash) {}
 
 std::optional<DseResumeInfo> DseCheckpointer::load(std::size_t task_count,
                                                    std::size_t core_count) {
-    std::optional<CheckpointLoad> loaded = load_checkpoint(path_, "dse", state_hash_);
+    std::optional<CheckpointLoad> loaded = load_file();
     if (!loaded) return std::nullopt;
     DseResumeState state;
-    state.from_fallback = loaded->from_fallback;
     state.records.reserve(loaded->data.lines.size());
     for (const std::string& line : loaded->data.lines)
-        state.records.push_back(decode_record(path_, line, task_count, core_count));
+        state.records.push_back(decode_record(path(), line, task_count, core_count));
     std::lock_guard lock(mutex_);
     lines_ = std::move(loaded->data.lines);
-    flushed_lines_ = lines_.size();
+    cadence_.flushed(lines_.size());
     resume_ = std::move(state);
     DseResumeInfo info;
     info.slots_decided = resume_->records.size();
-    info.from_fallback = resume_->from_fallback;
+    info.from_fallback = loaded->from_fallback;
     return info;
 }
 
 void DseCheckpointer::record(const DseSlotRecord& record) {
     std::lock_guard lock(mutex_);
     lines_.push_back(encode_record(record));
-}
-
-void DseCheckpointer::maybe_flush() {
-    std::lock_guard lock(mutex_);
-    if (lines_.size() == flushed_lines_) return;
-    const bool by_count =
-        every_records_ > 0 && lines_.size() - flushed_lines_ >= every_records_;
-    if (!by_count && !timer_.due()) return;
-    flush_locked();
-}
-
-void DseCheckpointer::flush() {
-    std::lock_guard lock(mutex_);
-    if (lines_.size() == flushed_lines_) return;
-    flush_locked();
-}
-
-void DseCheckpointer::remove() {
-    std::lock_guard lock(mutex_);
-    remove_checkpoint(path_);
-    flushed_lines_ = 0;
-}
-
-std::uint64_t DseCheckpointer::recorded() const {
-    std::lock_guard lock(mutex_);
-    return lines_.size();
-}
-
-void DseCheckpointer::flush_locked() {
-    CheckpointData data;
-    data.kind = "dse";
-    data.state_hash = state_hash_;
-    data.lines = lines_;
-    save_checkpoint(path_, data);
-    flushed_lines_ = lines_.size();
-    timer_.reset();
 }
 
 } // namespace seamap

@@ -1,5 +1,7 @@
 #include "reliability/ser_model.h"
 
+#include "util/checkpoint.h"
+
 #include <cmath>
 #include <stdexcept>
 
@@ -22,6 +24,14 @@ double SerModel::ser_per_bit_second(double vdd) const {
 
 double SerModel::lambda_per_bit_cycle(const OperatingPoint& op) const {
     return ser_per_bit_second(op.vdd) / (op.f_mhz * 1e6);
+}
+
+void mix_identity(HashStream& h, const SerModel& ser) {
+    const SerParams& sp = ser.params();
+    h.mix_double(sp.ser_ref_per_bit_cycle);
+    h.mix_double(sp.ref_vdd);
+    h.mix_double(sp.ref_f_mhz);
+    h.mix_double(sp.voltage_exponent_k);
 }
 
 } // namespace seamap

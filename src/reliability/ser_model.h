@@ -49,4 +49,10 @@ private:
     SerParams params_;
 };
 
+class HashStream; // util/checkpoint.h
+
+/// Mix the SER parameters into a checkpoint state hash; both checkpoint
+/// kinds call it.
+void mix_identity(HashStream& h, const SerModel& ser);
+
 } // namespace seamap

@@ -42,18 +42,22 @@ void validate_config(const CampaignConfig& config) {
         throw std::invalid_argument("CampaignEngine: pipeline_bits must be >= 0");
 }
 
-/// Shard-local accumulators; one slot per shard, written only by the
-/// worker that owns the shard, merged in shard order afterwards. Every
-/// field is an exact integer, so the merged result is independent of
-/// the shard schedule.
-struct ShardAccum {
-    ExactMoments total;
-    std::array<ExactMoments, k_fault_site_count> per_site;
-    std::vector<std::uint64_t> hits_per_core;
-    std::vector<std::uint64_t> hits_per_task;
-};
-
 } // namespace
+
+CampaignTally::CampaignTally(std::size_t cores, std::size_t tasks)
+    : hits_per_core(cores, 0), hits_per_task(tasks, 0) {}
+
+void CampaignTally::merge(const CampaignTally& other) {
+    if (other.hits_per_core.size() != hits_per_core.size() ||
+        other.hits_per_task.size() != hits_per_task.size())
+        throw std::invalid_argument("CampaignTally::merge: tally shapes differ");
+    total.merge(other.total);
+    for (std::size_t s = 0; s < k_fault_site_count; ++s) per_site[s].merge(other.per_site[s]);
+    for (std::size_t c = 0; c < hits_per_core.size(); ++c)
+        hits_per_core[c] += other.hits_per_core[c];
+    for (std::size_t t = 0; t < hits_per_task.size(); ++t)
+        hits_per_task[t] += other.hits_per_task[t];
+}
 
 CampaignEngine::CampaignEngine(SerModel ser, CampaignConfig config)
     : ser_(std::move(ser)), config_(config) {
@@ -142,27 +146,28 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
     const std::size_t cores = arch.core_count();
     const std::size_t tasks = graph.task_count();
 
-    // Shards restored from a checkpoint are skipped outright; workers
-    // consult an immutable snapshot of the bitmap taken before dispatch.
-    if (checkpoint != nullptr) checkpoint->initialize(shard_count, cores, tasks);
+    // The fold starts from the restored shards' tally (empty on a fresh
+    // run). Restored shards are skipped outright; workers consult an
+    // immutable snapshot of the bitmap taken before dispatch.
+    CampaignTally tally = checkpoint != nullptr
+                              ? checkpoint->initialize(shard_count, cores, tasks)
+                              : CampaignTally(cores, tasks);
     const std::vector<std::uint8_t> already_done =
         checkpoint != nullptr ? checkpoint->done_snapshot() : std::vector<std::uint8_t>();
 
     // Pre-assigned result slots: worker s writes only shards[s]; the
-    // deterministic merge below folds them in shard-index order (and
-    // since every accumulator is exact, any fold order would produce
-    // the same bytes anyway — which is also why restored shards can be
-    // merged as one opaque partial).
-    std::vector<ShardAccum> shards(shard_count);
+    // fold below merges them in shard-index order (and since every
+    // tally is exact, any fold order would produce the same bytes
+    // anyway — which is also why restored shards can enter it as one
+    // opaque partial).
+    std::vector<CampaignTally> shards(shard_count);
     std::vector<std::uint8_t> live_completed(shard_count, 0);
     const std::uint64_t seed = config_.seed;
     parallel_for_index(
         static_cast<std::size_t>(shard_count), config_.num_threads,
         [&](std::size_t shard) {
             if (!already_done.empty() && already_done[shard] != 0) return;
-            ShardAccum& acc = shards[shard];
-            acc.hits_per_core.assign(cores, 0);
-            acc.hits_per_task.assign(tasks, 0);
+            CampaignTally& acc = shards[shard] = CampaignTally(cores, tasks);
             const Rng root(seed);
             const std::uint64_t lo = static_cast<std::uint64_t>(shard) * shard_size;
             const std::uint64_t hi = std::min(trials, lo + shard_size);
@@ -190,8 +195,7 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
             }
             live_completed[shard] = 1;
             if (checkpoint != nullptr) {
-                checkpoint->record_shard(shard, acc.total, acc.per_site,
-                                         acc.hits_per_core, acc.hits_per_task);
+                checkpoint->record_shard(shard, acc);
                 checkpoint->maybe_flush();
             }
         });
@@ -206,28 +210,19 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
         report.sites[static_cast<std::size_t>(source.site)].analytic_gamma +=
             source.mean_seus;
     }
-    if (checkpoint != nullptr) {
-        // The checkpointer already holds restored + live shards as one
-        // exact merged partial.
-        checkpoint->export_to(report);
-        report.shards_completed = checkpoint->completed();
-        checkpoint->flush();
-        return report;
-    }
-    report.hits_per_core.assign(cores, 0);
-    report.hits_per_task.assign(tasks, 0);
+    report.shards_completed =
+        static_cast<std::uint64_t>(std::count(already_done.begin(), already_done.end(), 1));
     for (std::uint64_t s = 0; s < shard_count; ++s) {
-        if (live_completed[s] == 0) continue; // cancellation cut it short
-        const ShardAccum& acc = shards[s];
-        report.total_stats.merge(acc.total);
-        for (std::size_t site = 0; site < k_fault_site_count; ++site)
-            report.sites[site].stats.merge(acc.per_site[site]);
-        for (std::size_t c = 0; c < cores; ++c)
-            report.hits_per_core[c] += acc.hits_per_core[c];
-        for (std::size_t t = 0; t < tasks; ++t)
-            report.hits_per_task[t] += acc.hits_per_task[t];
+        if (live_completed[s] == 0) continue; // restored, or cut short by cancellation
+        tally.merge(shards[s]);
         ++report.shards_completed;
     }
+    report.total_stats = tally.total;
+    for (std::size_t site = 0; site < k_fault_site_count; ++site)
+        report.sites[site].stats = tally.per_site[site];
+    report.hits_per_core = std::move(tally.hits_per_core);
+    report.hits_per_task = std::move(tally.hits_per_task);
+    if (checkpoint != nullptr) checkpoint->flush();
     return report;
 }
 

@@ -2,11 +2,13 @@
 // counterpart of the analytic Γ model (eq. 3) at statistically
 // meaningful trial counts. Trials are cut into fixed-size blocks
 // (shards) dispatched on the project thread pool; trial t always draws
-// from the order-invariant stream Rng(seed).fork_at(t) and every
-// accumulator merged across shards is an exact integer moment
-// (util/stats.h ExactMoments), so the merged report is byte-identical
-// for ANY thread count and ANY shard size — the PR 1/4
-// enumeration-order merge discipline applied to statistics.
+// from the order-invariant stream Rng(seed).fork_at(t) and each shard
+// fills its own CampaignTally of exact integer moments (util/stats.h
+// ExactMoments). run() builds the report by one fold: the tally
+// restored from a checkpoint, if any, plus the live shards in shard
+// order. Exact merges make that fold order-free, so the report is
+// byte-identical for ANY thread count, ANY shard size and ANY split
+// between restored and live shards.
 //
 // Faults are injected at differentiated sites, following the
 // component-level triage of CFA-style frameworks (register file vs
@@ -101,6 +103,25 @@ struct FaultSource {
     CoreId core = 0;
     TaskId task = k_no_task;
     double mean_seus = 0.0;
+};
+
+/// The exact statistics of a set of shards: per-trial totals, per-site
+/// moments and hit attribution. Every field is an exact integer, so
+/// merge() is associative and commutative — any fold order, and any
+/// split between restored and live shards, gives the same bytes.
+struct CampaignTally {
+    ExactMoments total;
+    /// Indexed by FaultSite.
+    std::array<ExactMoments, k_fault_site_count> per_site;
+    std::vector<std::uint64_t> hits_per_core;
+    std::vector<std::uint64_t> hits_per_task;
+
+    CampaignTally() = default;
+    /// An empty tally shaped for `cores` cores and `tasks` tasks.
+    CampaignTally(std::size_t cores, std::size_t tasks);
+
+    /// Fold `other` in; both must have the same shape.
+    void merge(const CampaignTally& other);
 };
 
 /// Per-site results: the analytic expectation and the exact-moment

@@ -21,42 +21,35 @@ constexpr std::size_t k_payload_lines = 5 + k_fault_site_count;
 // Every field is an integer, so the round-trip is exact by
 // construction — no float rendering is involved anywhere.
 
+[[noreturn]] void fail_decode(const std::string& path, const std::string& why) {
+    throw Error(ErrorCategory::checkpoint_corrupt,
+                "corrupt campaign checkpoint payload: " + why, path);
+}
+
 std::string hex_of_bitmap(const std::vector<std::uint8_t>& done) {
-    static constexpr char digits[] = "0123456789abcdef";
-    const std::size_t bytes = (done.size() + 7) / 8;
-    std::string out(bytes * 2, '0');
-    for (std::size_t i = 0; i < done.size(); ++i) {
-        if (done[i] == 0) continue;
-        const std::size_t byte = i / 8;
-        const unsigned bit = static_cast<unsigned>(i % 8);
-        const std::size_t nibble = byte * 2 + (bit < 4 ? 1 : 0);
-        const unsigned value =
-            static_cast<unsigned>(out[nibble] >= 'a' ? out[nibble] - 'a' + 10
-                                                     : out[nibble] - '0');
-        out[nibble] = digits[value | (1u << (bit % 4))];
+    std::string out;
+    for (std::size_t i = 0; i < done.size(); i += 8) {
+        std::uint64_t byte = 0;
+        for (std::size_t bit = 0; bit < 8 && i + bit < done.size(); ++bit)
+            byte |= static_cast<std::uint64_t>(done[i + bit] != 0) << bit;
+        out += hex_of_u64(byte).substr(14);
     }
     return out;
 }
 
 std::vector<std::uint8_t> bitmap_of_hex(const std::string& path, std::string_view hex,
                                         std::uint64_t shard_count) {
-    if (hex.size() != ((shard_count + 7) / 8) * 2)
-        throw Error(ErrorCategory::checkpoint_corrupt,
-                    "corrupt campaign checkpoint payload: bitmap length mismatch", path);
+    if (hex.size() != ((shard_count + 7) / 8) * 2) fail_decode(path, "bitmap length mismatch");
     std::vector<std::uint8_t> done(shard_count, 0);
-    for (std::uint64_t i = 0; i < shard_count; ++i) {
-        const std::uint64_t byte = i / 8;
-        const unsigned bit = static_cast<unsigned>(i % 8);
-        const char c = hex[byte * 2 + (bit < 4 ? 1 : 0)];
-        unsigned value = 0;
-        if (c >= '0' && c <= '9')
-            value = static_cast<unsigned>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value = static_cast<unsigned>(c - 'a' + 10);
-        else
-            throw Error(ErrorCategory::checkpoint_corrupt,
-                        "corrupt campaign checkpoint payload: non-hex bitmap", path);
-        if ((value >> (bit % 4)) & 1u) done[i] = 1;
+    for (std::uint64_t i = 0; i < shard_count; i += 8) {
+        std::uint64_t byte = 0;
+        try {
+            byte = u64_of_hex(hex.substr(i / 4, 2));
+        } catch (const Error&) {
+            fail_decode(path, "non-hex bitmap");
+        }
+        for (std::uint64_t bit = 0; bit < 8 && i + bit < shard_count; ++bit)
+            done[i + bit] = static_cast<std::uint8_t>((byte >> bit) & 1u);
     }
     return done;
 }
@@ -71,11 +64,6 @@ void encode_moments(std::string& out, const ExactMomentsState& s) {
     out += ' ' + std::to_string(s.sum_sq_lo);
 }
 
-[[noreturn]] void fail_decode(const std::string& path, const std::string& why) {
-    throw Error(ErrorCategory::checkpoint_corrupt,
-                "corrupt campaign checkpoint payload: " + why, path);
-}
-
 std::uint64_t field_u64(const std::string& path, const std::vector<std::string>& fields,
                         std::size_t at) {
     try {
@@ -85,8 +73,8 @@ std::uint64_t field_u64(const std::string& path, const std::vector<std::string>&
     }
 }
 
-ExactMomentsState decode_moments(const std::string& path,
-                                 const std::vector<std::string>& fields, std::size_t at) {
+ExactMoments decode_moments(const std::string& path, const std::vector<std::string>& fields,
+                            std::size_t at) {
     ExactMomentsState s;
     s.count = field_u64(path, fields, at);
     s.min = field_u64(path, fields, at + 1);
@@ -95,29 +83,7 @@ ExactMomentsState decode_moments(const std::string& path,
     s.sum_lo = field_u64(path, fields, at + 4);
     s.sum_sq_hi = field_u64(path, fields, at + 5);
     s.sum_sq_lo = field_u64(path, fields, at + 6);
-    return s;
-}
-
-std::string csv_of_u64s(const std::vector<std::uint64_t>& xs) {
-    std::string out;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(xs[i]);
-    }
-    return out;
-}
-
-std::vector<std::uint64_t> u64s_of_csv(const std::string& path, const std::string& csv) {
-    std::vector<std::uint64_t> out;
-    if (csv.empty()) return out;
-    for (const std::string& field : split(csv, ',')) {
-        try {
-            out.push_back(parse_u64(field));
-        } catch (const std::exception&) {
-            fail_decode(path, "non-numeric counter '" + field + "'");
-        }
-    }
-    return out;
+    return ExactMoments::from_state(s);
 }
 
 } // namespace
@@ -128,43 +94,8 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
                                   const CampaignConfig& config) {
     HashStream h;
     h.mix("seamap-campaign-state");
-
-    // Application.
-    h.mix(graph.name());
-    h.mix(graph.batch_count());
-    const RegisterFile& regs = graph.register_file();
-    h.mix(regs.size());
-    for (std::size_t r = 0; r < regs.size(); ++r) {
-        h.mix(regs.name(static_cast<RegisterId>(r)));
-        h.mix(regs.bits(static_cast<RegisterId>(r)));
-    }
-    h.mix(graph.task_count());
-    for (std::size_t t = 0; t < graph.task_count(); ++t) {
-        const Task& task = graph.task(static_cast<TaskId>(t));
-        h.mix(task.name);
-        h.mix(task.exec_cycles);
-        h.mix(task.registers.count());
-        task.registers.for_each([&](RegisterId id) { h.mix(id); });
-    }
-    h.mix(graph.edge_count());
-    for (const Edge& edge : graph.edges()) {
-        h.mix(edge.src);
-        h.mix(edge.dst);
-        h.mix(edge.comm_cycles);
-    }
-
-    // Architecture.
-    h.mix(arch.core_count());
-    const VoltageScalingTable& table = arch.scaling_table();
-    h.mix(table.level_count());
-    for (std::size_t l = 1; l <= table.level_count(); ++l) {
-        const OperatingPoint& op = table.at_level(static_cast<ScalingLevel>(l));
-        h.mix_double(op.f_mhz);
-        h.mix_double(op.vdd);
-    }
-    const PowerParams& power = arch.power_model().params();
-    h.mix_double(power.c_eff_farads);
-    h.mix_double(power.idle_activity);
+    mix_identity(h, graph);
+    mix_identity(h, arch);
 
     // The design under test: mapping, scaling and its exact schedule
     // (the schedule determines every exposure window, so two runs with
@@ -182,13 +113,7 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
         h.mix_double(entry.finish_seconds);
     }
     h.mix_double(schedule.total_time_seconds);
-
-    // SER model.
-    const SerParams& sp = ser.params();
-    h.mix_double(sp.ser_ref_per_bit_cycle);
-    h.mix_double(sp.ref_vdd);
-    h.mix_double(sp.ref_f_mhz);
-    h.mix_double(sp.voltage_exponent_k);
+    mix_identity(h, ser);
 
     // Campaign shape. num_threads is deliberately absent (results are
     // invariant to it); shard_size is present (the bitmap is indexed by
@@ -205,71 +130,61 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
 }
 
 CampaignCheckpointer::CampaignCheckpointer(std::string path, std::uint64_t state_hash)
-    : path_(std::move(path)), state_hash_(state_hash) {}
-
-void CampaignCheckpointer::set_cadence(std::uint64_t every_shards, double interval_seconds) {
-    std::lock_guard lock(mutex_);
-    every_shards_ = every_shards;
-    timer_ = IntervalTimer(interval_seconds);
-}
+    : CheckpointFile(std::move(path), "campaign", state_hash) {}
 
 std::optional<CampaignResumeInfo> CampaignCheckpointer::load() {
-    std::optional<CheckpointLoad> loaded = load_checkpoint(path_, "campaign", state_hash_);
+    std::optional<CheckpointLoad> loaded = load_file();
     if (!loaded) return std::nullopt;
+    const std::string& file = path();
     const std::vector<std::string>& lines = loaded->data.lines;
     if (lines.size() != k_payload_lines)
-        fail_decode(path_, "expected " + std::to_string(k_payload_lines) +
-                               " payload lines");
+        fail_decode(file, "expected " + std::to_string(k_payload_lines) + " payload lines");
 
     const std::vector<std::string> head = split(lines[0], ' ');
     if (head.size() != 4 || head[0] != "shards" || head[2] != "completed")
-        fail_decode(path_, "bad header line");
-    const std::uint64_t shard_count = field_u64(path_, head, 1);
-    const std::uint64_t completed = field_u64(path_, head, 3);
-    if (completed > shard_count) fail_decode(path_, "completed exceeds shard count");
+        fail_decode(file, "bad header line");
+    const std::uint64_t shard_count = field_u64(file, head, 1);
+    const std::uint64_t completed = field_u64(file, head, 3);
+    if (completed > shard_count) fail_decode(file, "completed exceeds shard count");
 
     const std::vector<std::string> done_fields = split(lines[1], ' ');
     if (done_fields.size() != 2 || done_fields[0] != "done")
-        fail_decode(path_, "bad bitmap line");
-    std::vector<std::uint8_t> done = bitmap_of_hex(path_, done_fields[1], shard_count);
+        fail_decode(file, "bad bitmap line");
+    std::vector<std::uint8_t> done = bitmap_of_hex(file, done_fields[1], shard_count);
     std::uint64_t marked = 0;
     for (const std::uint8_t d : done) marked += d;
-    if (marked != completed) fail_decode(path_, "bitmap disagrees with completed count");
+    if (marked != completed) fail_decode(file, "bitmap disagrees with completed count");
 
+    CampaignTally tally;
     const std::vector<std::string> total_fields = split(lines[2], ' ');
     if (total_fields.size() != 8 || total_fields[0] != "total")
-        fail_decode(path_, "bad total line");
-    const ExactMomentsState total = decode_moments(path_, total_fields, 1);
-
-    std::array<ExactMomentsState, k_fault_site_count> sites;
+        fail_decode(file, "bad total line");
+    tally.total = decode_moments(file, total_fields, 1);
     for (std::size_t s = 0; s < k_fault_site_count; ++s) {
         const std::vector<std::string> fields = split(lines[3 + s], ' ');
         if (fields.size() != 9 || fields[0] != "site" ||
             fields[1] != std::to_string(s))
-            fail_decode(path_, "bad site line");
-        sites[s] = decode_moments(path_, fields, 2);
+            fail_decode(file, "bad site line");
+        tally.per_site[s] = decode_moments(file, fields, 2);
     }
 
     const std::vector<std::string> cores_line =
         split(lines[3 + k_fault_site_count], ' ');
     if (cores_line.size() != 2 || cores_line[0] != "cores")
-        fail_decode(path_, "bad cores line");
+        fail_decode(file, "bad cores line");
     const std::vector<std::string> tasks_line =
         split(lines[4 + k_fault_site_count], ' ');
     if (tasks_line.size() != 2 || tasks_line[0] != "tasks")
-        fail_decode(path_, "bad tasks line");
+        fail_decode(file, "bad tasks line");
+    tally.hits_per_core = u64s_of_csv(cores_line[1], file);
+    tally.hits_per_task = u64s_of_csv(tasks_line[1], file);
 
     std::lock_guard lock(mutex_);
-    shaped_ = true;
     shard_count_ = shard_count;
     done_ = std::move(done);
     completed_ = completed;
-    total_ = ExactMoments::from_state(total);
-    for (std::size_t s = 0; s < k_fault_site_count; ++s)
-        per_site_[s] = ExactMoments::from_state(sites[s]);
-    hits_per_core_ = u64s_of_csv(path_, cores_line[1]);
-    hits_per_task_ = u64s_of_csv(path_, tasks_line[1]);
-    flushed_completed_ = completed_;
+    tally_ = std::move(tally);
+    cadence_.flushed(completed_);
 
     CampaignResumeInfo info;
     info.shards_completed = completed_;
@@ -278,24 +193,21 @@ std::optional<CampaignResumeInfo> CampaignCheckpointer::load() {
     return info;
 }
 
-void CampaignCheckpointer::initialize(std::uint64_t shard_count, std::size_t core_count,
-                                      std::size_t task_count) {
+CampaignTally CampaignCheckpointer::initialize(std::uint64_t shard_count,
+                                               std::size_t core_count,
+                                               std::size_t task_count) {
     std::lock_guard lock(mutex_);
-    if (shaped_ && completed_ > 0) {
-        if (shard_count_ != shard_count || hits_per_core_.size() != core_count ||
-            hits_per_task_.size() != task_count)
+    if (completed_ > 0) {
+        if (shard_count_ != shard_count || tally_.hits_per_core.size() != core_count ||
+            tally_.hits_per_task.size() != task_count)
             throw Error(ErrorCategory::checkpoint_corrupt,
-                        "campaign checkpoint shapes disagree with this run", path_);
-        return;
+                        "campaign checkpoint shapes disagree with this run", path());
+        return tally_;
     }
-    shaped_ = true;
     shard_count_ = shard_count;
     done_.assign(shard_count, 0);
-    completed_ = 0;
-    total_ = ExactMoments();
-    per_site_.fill(ExactMoments());
-    hits_per_core_.assign(core_count, 0);
-    hits_per_task_.assign(task_count, 0);
+    tally_ = CampaignTally(core_count, task_count);
+    return tally_;
 }
 
 std::vector<std::uint8_t> CampaignCheckpointer::done_snapshot() const {
@@ -303,85 +215,36 @@ std::vector<std::uint8_t> CampaignCheckpointer::done_snapshot() const {
     return done_;
 }
 
-void CampaignCheckpointer::record_shard(
-    std::uint64_t shard, const ExactMoments& total,
-    const std::array<ExactMoments, k_fault_site_count>& per_site,
-    const std::vector<std::uint64_t>& hits_per_core,
-    const std::vector<std::uint64_t>& hits_per_task) {
+void CampaignCheckpointer::record_shard(std::uint64_t shard, const CampaignTally& tally) {
     std::uint64_t now_completed = 0;
     {
         std::lock_guard lock(mutex_);
         if (shard >= done_.size() || done_[shard] != 0) return;
         done_[shard] = 1;
         ++completed_;
-        total_.merge(total);
-        for (std::size_t s = 0; s < k_fault_site_count; ++s)
-            per_site_[s].merge(per_site[s]);
-        for (std::size_t c = 0; c < hits_per_core_.size() && c < hits_per_core.size(); ++c)
-            hits_per_core_[c] += hits_per_core[c];
-        for (std::size_t t = 0; t < hits_per_task_.size() && t < hits_per_task.size(); ++t)
-            hits_per_task_[t] += hits_per_task[t];
+        tally_.merge(tally);
         now_completed = completed_;
     }
     if (on_shard_recorded) on_shard_recorded(now_completed);
 }
 
-void CampaignCheckpointer::export_to(CampaignReport& report) const {
-    std::lock_guard lock(mutex_);
-    report.total_stats = total_;
-    for (std::size_t s = 0; s < k_fault_site_count; ++s)
-        report.sites[s].stats = per_site_[s];
-    report.hits_per_core = hits_per_core_;
-    report.hits_per_task = hits_per_task_;
-}
-
-std::uint64_t CampaignCheckpointer::completed() const {
-    std::lock_guard lock(mutex_);
-    return completed_;
-}
-
-void CampaignCheckpointer::maybe_flush() {
-    std::lock_guard lock(mutex_);
-    if (completed_ == flushed_completed_) return;
-    const bool by_count =
-        every_shards_ > 0 && completed_ - flushed_completed_ >= every_shards_;
-    if (!by_count && !timer_.due()) return;
-    flush_locked();
-}
-
-void CampaignCheckpointer::flush() {
-    std::lock_guard lock(mutex_);
-    if (completed_ == flushed_completed_) return;
-    flush_locked();
-}
-
-void CampaignCheckpointer::remove() {
-    std::lock_guard lock(mutex_);
-    remove_checkpoint(path_);
-    flushed_completed_ = 0;
-}
-
-void CampaignCheckpointer::flush_locked() {
-    CheckpointData data;
-    data.kind = "campaign";
-    data.state_hash = state_hash_;
-    data.lines.reserve(k_payload_lines);
-    data.lines.push_back("shards " + std::to_string(shard_count_) + " completed " +
-                         std::to_string(completed_));
-    data.lines.push_back("done " + hex_of_bitmap(done_));
+std::vector<std::string> CampaignCheckpointer::payload_locked() const {
+    std::vector<std::string> lines;
+    lines.reserve(k_payload_lines);
+    lines.push_back("shards " + std::to_string(shard_count_) + " completed " +
+                    std::to_string(completed_));
+    lines.push_back("done " + hex_of_bitmap(done_));
     std::string total = "total";
-    encode_moments(total, total_.state());
-    data.lines.push_back(std::move(total));
+    encode_moments(total, tally_.total.state());
+    lines.push_back(std::move(total));
     for (std::size_t s = 0; s < k_fault_site_count; ++s) {
         std::string line = "site " + std::to_string(s);
-        encode_moments(line, per_site_[s].state());
-        data.lines.push_back(std::move(line));
+        encode_moments(line, tally_.per_site[s].state());
+        lines.push_back(std::move(line));
     }
-    data.lines.push_back("cores " + csv_of_u64s(hits_per_core_));
-    data.lines.push_back("tasks " + csv_of_u64s(hits_per_task_));
-    save_checkpoint(path_, data);
-    flushed_completed_ = completed_;
-    timer_.reset();
+    lines.push_back("cores " + csv_of_ints(tally_.hits_per_core));
+    lines.push_back("tasks " + csv_of_ints(tally_.hits_per_task));
+    return lines;
 }
 
 } // namespace seamap

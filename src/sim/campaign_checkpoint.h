@@ -3,13 +3,14 @@
 // (util/checkpoint.h).
 //
 // Why resume is trivially exact here: trial t always draws from the
-// order-invariant stream Rng(seed).fork_at(t), and every merged
-// accumulator is an exact integer moment (util/stats.h ExactMoments),
-// so shard merges are associative AND commutative. The checkpoint
-// stores one merged partial (total + per-site moments, per-core and
-// per-task hit counts) plus the completed-shard bitmap; a resumed run
-// computes only the missing shards and folds them in, reproducing the
-// uninterrupted report byte-for-byte at any thread count and any
+// order-invariant stream Rng(seed).fork_at(t), and a CampaignTally
+// (sim/campaign.h) holds only exact integers, so tally merges are
+// associative AND commutative. The checkpointer is persistence only:
+// it keeps a running copy of the snapshot — the tally of every
+// completed shard plus the completed-shard bitmap — and stores and
+// reloads it. The report is not built here: CampaignEngine::run folds
+// the restored tally and the live shards in shard order, reproducing
+// the uninterrupted report byte-for-byte at any thread count and any
 // completion order.
 //
 // Snapshots are keyed by campaign_state_hash() — a content hash of the
@@ -27,14 +28,10 @@
 #include "sched/mapping.h"
 #include "sim/campaign.h"
 #include "taskgraph/task_graph.h"
-#include "util/cancellation.h"
 #include "util/checkpoint.h"
-#include "util/stats.h"
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,57 +52,35 @@ struct CampaignResumeInfo {
     bool from_fallback = false;
 };
 
-/// Accumulates completed shards into one exact merged partial and
-/// persists it as crash-safe snapshots. The campaign engine records
-/// every finished shard here (thread-safe); flushing happens on the
-/// configured cadence and on demand.
-class CampaignCheckpointer {
+/// Keeps the running snapshot of a campaign — the tally of every
+/// completed shard and the completed-shard bitmap — and persists it as
+/// crash-safe snapshots. The campaign engine records every finished
+/// shard here (thread-safe); the flush cadence counts completed shards.
+class CampaignCheckpointer : public CheckpointFile {
 public:
     CampaignCheckpointer(std::string path, std::uint64_t state_hash);
 
-    /// Flush cadence: persist after every `every_shards` newly recorded
-    /// shards (0 = never by count) and whenever `interval_seconds`
-    /// elapsed since the last flush (0 = never by time).
-    void set_cadence(std::uint64_t every_shards, double interval_seconds);
-
-    /// Load the snapshot at path() into this accumulator. Returns
+    /// Load the snapshot at path() as the running snapshot. Returns
     /// nullopt when no snapshot exists; throws
     /// Error(checkpoint_corrupt/_mismatch) as documented on
     /// load_checkpoint().
     std::optional<CampaignResumeInfo> load();
 
-    /// Shape the accumulators for this run; verifies any loaded state
+    /// Shape the snapshot for this run and return the restored tally
+    /// (empty when nothing was restored); verifies any loaded state
     /// against the expected shapes (Error(checkpoint_corrupt) on
     /// disagreement — a hash-matched snapshot cannot legitimately
     /// differ). Must run before record_shard()/done_snapshot().
-    void initialize(std::uint64_t shard_count, std::size_t core_count,
-                    std::size_t task_count);
+    CampaignTally initialize(std::uint64_t shard_count, std::size_t core_count,
+                             std::size_t task_count);
 
     /// Copy of the completed-shard bitmap (1 = already merged); taken
     /// once before dispatch so workers consult an immutable snapshot.
     std::vector<std::uint8_t> done_snapshot() const;
 
-    /// Fold one finished shard into the partial (exact merges) and mark
-    /// it done. Thread-safe; ignores shards already recorded.
-    void record_shard(std::uint64_t shard, const ExactMoments& total,
-                      const std::array<ExactMoments, k_fault_site_count>& per_site,
-                      const std::vector<std::uint64_t>& hits_per_core,
-                      const std::vector<std::uint64_t>& hits_per_task);
-
-    /// Export the merged partial into a report's accumulators.
-    void export_to(CampaignReport& report) const;
-
-    std::uint64_t completed() const;
-
-    /// Persist when the cadence is due and new shards were recorded.
-    void maybe_flush();
-    /// Persist now when new shards were recorded since the last flush.
-    void flush();
-
-    /// Delete the snapshot files.
-    void remove();
-
-    const std::string& path() const { return path_; }
+    /// Fold one finished shard's tally into the snapshot and mark it
+    /// done. Thread-safe; ignores shards already recorded.
+    void record_shard(std::uint64_t shard, const CampaignTally& tally);
 
     /// Test hook: invoked after each record_shard (outside the internal
     /// lock) with the new completed count — lets tests stop a campaign
@@ -113,22 +88,13 @@ public:
     std::function<void(std::uint64_t)> on_shard_recorded;
 
 private:
-    void flush_locked();
+    std::uint64_t recorded_locked() const override { return completed_; }
+    std::vector<std::string> payload_locked() const override;
 
-    std::string path_;
-    std::uint64_t state_hash_;
-    mutable std::mutex mutex_;
-    bool shaped_ = false;
     std::uint64_t shard_count_ = 0;
     std::vector<std::uint8_t> done_;
     std::uint64_t completed_ = 0;
-    ExactMoments total_;
-    std::array<ExactMoments, k_fault_site_count> per_site_;
-    std::vector<std::uint64_t> hits_per_core_;
-    std::vector<std::uint64_t> hits_per_task_;
-    std::uint64_t flushed_completed_ = 0;
-    std::uint64_t every_shards_ = 0;
-    IntervalTimer timer_{0.0};
+    CampaignTally tally_;
 };
 
 } // namespace seamap

@@ -1,5 +1,7 @@
 #include "taskgraph/task_graph.h"
 
+#include "util/checkpoint.h"
+
 #include <algorithm>
 #include <stdexcept>
 
@@ -174,6 +176,31 @@ std::uint64_t TaskGraph::union_register_bits(std::span<const TaskId> ids) const 
 
 void TaskGraph::check_task(TaskId id) const {
     if (id >= tasks_.size()) throw std::out_of_range("TaskGraph: bad task id");
+}
+
+void mix_identity(HashStream& h, const TaskGraph& graph) {
+    h.mix(graph.name());
+    h.mix(graph.batch_count());
+    const RegisterFile& regs = graph.register_file();
+    h.mix(regs.size());
+    for (std::size_t r = 0; r < regs.size(); ++r) {
+        h.mix(regs.name(static_cast<RegisterId>(r)));
+        h.mix(regs.bits(static_cast<RegisterId>(r)));
+    }
+    h.mix(graph.task_count());
+    for (std::size_t t = 0; t < graph.task_count(); ++t) {
+        const Task& task = graph.task(static_cast<TaskId>(t));
+        h.mix(task.name);
+        h.mix(task.exec_cycles);
+        h.mix(task.registers.count());
+        task.registers.for_each([&](RegisterId id) { h.mix(id); });
+    }
+    h.mix(graph.edge_count());
+    for (const Edge& edge : graph.edges()) {
+        h.mix(edge.src);
+        h.mix(edge.dst);
+        h.mix(edge.comm_cycles);
+    }
 }
 
 } // namespace seamap

@@ -113,4 +113,10 @@ private:
     std::vector<std::vector<std::size_t>> in_edges_;
 };
 
+class HashStream; // util/checkpoint.h
+
+/// Mix the graph's identity (name, batching, register inventory, tasks,
+/// edges) into a checkpoint state hash; both checkpoint kinds call it.
+void mix_identity(HashStream& h, const TaskGraph& graph);
+
 } // namespace seamap

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -302,6 +303,77 @@ std::uint64_t u64_of_hex(std::string_view hex) {
             throw Error(ErrorCategory::parse, "bad hex64 field: '" + std::string(hex) + "'");
     }
     return value;
+}
+
+std::vector<std::uint64_t> u64s_of_csv(std::string_view csv, const std::string& path) {
+    std::vector<std::uint64_t> out;
+    if (csv.empty()) return out;
+    for (const std::string& field : split(csv, ',')) {
+        try {
+            out.push_back(parse_u64(field));
+        } catch (const std::exception&) {
+            throw Error(ErrorCategory::checkpoint_corrupt,
+                        "corrupt checkpoint payload: non-numeric field '" + field + "'", path);
+        }
+    }
+    return out;
+}
+
+void FlushCadence::set(std::uint64_t every, double interval_seconds) {
+    every_ = every;
+    timer_ = IntervalTimer(interval_seconds);
+}
+
+bool FlushCadence::due(std::uint64_t recorded) const {
+    if (!pending(recorded)) return false;
+    return (every_ > 0 && recorded - flushed_ >= every_) || timer_.due();
+}
+
+void FlushCadence::flushed(std::uint64_t recorded) {
+    flushed_ = recorded;
+    timer_.reset();
+}
+
+CheckpointFile::CheckpointFile(std::string path, std::string kind, std::uint64_t state_hash)
+    : path_(std::move(path)), kind_(std::move(kind)), state_hash_(state_hash) {}
+
+void CheckpointFile::set_cadence(std::uint64_t every, double interval_seconds) {
+    std::lock_guard lock(mutex_);
+    cadence_.set(every, interval_seconds);
+}
+
+void CheckpointFile::maybe_flush() {
+    std::lock_guard lock(mutex_);
+    if (cadence_.due(recorded_locked())) flush_locked();
+}
+
+void CheckpointFile::flush() {
+    std::lock_guard lock(mutex_);
+    if (cadence_.pending(recorded_locked())) flush_locked();
+}
+
+void CheckpointFile::remove() {
+    std::lock_guard lock(mutex_);
+    remove_checkpoint(path_);
+    cadence_.flushed(0);
+}
+
+std::uint64_t CheckpointFile::recorded() const {
+    std::lock_guard lock(mutex_);
+    return recorded_locked();
+}
+
+std::optional<CheckpointLoad> CheckpointFile::load_file() const {
+    return load_checkpoint(path_, kind_, state_hash_);
+}
+
+void CheckpointFile::flush_locked() {
+    CheckpointData data;
+    data.kind = kind_;
+    data.state_hash = state_hash_;
+    data.lines = payload_locked();
+    save_checkpoint(path_, data);
+    cadence_.flushed(recorded_locked());
 }
 
 } // namespace seamap

@@ -29,10 +29,15 @@
 //
 // Payload encodings need bit-exact doubles to keep resumed results
 // byte-identical, so hex_of_double/double_of_hex round-trip the IEEE
-// bit pattern instead of going through decimal.
+// bit pattern instead of going through decimal. Integer sequences
+// (mappings, hit counters) share one comma-separated decimal codec,
+// and both snapshot owners share one FlushCadence.
 #pragma once
 
+#include "util/cancellation.h"
+
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -103,5 +108,97 @@ double double_of_hex(std::string_view hex); ///< throws Error(parse)
 
 std::string hex_of_u64(std::uint64_t x);
 std::uint64_t u64_of_hex(std::string_view hex); ///< throws Error(parse)
+
+/// Comma-separated decimal rendering of an integer sequence for
+/// payloads ("" when empty).
+template <class Int>
+std::string csv_of_ints(const std::vector<Int>& xs) {
+    std::string out;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        if (i > 0) out += ',';
+        out += std::to_string(xs[i]);
+    }
+    return out;
+}
+
+/// Inverse of csv_of_ints ("" decodes to no values). Throws
+/// Error(checkpoint_corrupt) naming `path` and the first non-numeric
+/// field.
+std::vector<std::uint64_t> u64s_of_csv(std::string_view csv, const std::string& path);
+
+/// When a checkpointer persists: once `every` records are pending
+/// (0 = never by count) or `interval_seconds` elapsed since the last
+/// flush (<= 0 = never by time), and never while nothing is pending.
+/// Records are counted by the owner (decided slots, completed shards).
+/// Not thread-safe: owners call it under their own lock.
+class FlushCadence {
+public:
+    void set(std::uint64_t every, double interval_seconds);
+
+    /// True when `recorded` differs from the count last on disk.
+    bool pending(std::uint64_t recorded) const { return recorded != flushed_; }
+    /// True when records are pending and the count or the interval is due.
+    bool due(std::uint64_t recorded) const;
+    /// The first `recorded` records are on disk (after a flush or a
+    /// load; 0 after the files are removed); restarts the interval.
+    void flushed(std::uint64_t recorded);
+
+private:
+    std::uint64_t every_ = 0;
+    std::uint64_t flushed_ = 0;
+    IntervalTimer timer_{0.0};
+};
+
+/// What both checkpointers (core/dse_checkpoint.h,
+/// sim/campaign_checkpoint.h) share: one snapshot path with its kind
+/// and state hash, and the FlushCadence deciding when to rewrite it.
+/// An owner counts its records (decided slots, completed shards) and
+/// renders its payload lines; flushing on cadence or on demand, and
+/// removal, live here. Thread-safe: owners guard their own state with
+/// mutex_.
+class CheckpointFile {
+public:
+    virtual ~CheckpointFile() = default;
+    CheckpointFile(const CheckpointFile&) = delete;
+    CheckpointFile& operator=(const CheckpointFile&) = delete;
+
+    /// Persist after every `every` new records (0 = never by
+    /// count) and whenever `interval_seconds` elapsed since the last
+    /// flush (0 = never by time). flush() is always available.
+    void set_cadence(std::uint64_t every, double interval_seconds);
+    /// Persist when the cadence is due and new records exist.
+    void maybe_flush();
+    /// Persist now when new records exist since the last flush.
+    void flush();
+    /// Delete the snapshot files (after a completed run, when the
+    /// caller does not want to keep the finished snapshot).
+    void remove();
+
+    const std::string& path() const { return path_; }
+    /// Records so far, loaded ones included.
+    std::uint64_t recorded() const;
+
+protected:
+    CheckpointFile(std::string path, std::string kind, std::uint64_t state_hash);
+
+    /// load_checkpoint() for this file's kind and state hash.
+    std::optional<CheckpointLoad> load_file() const;
+
+    /// Records so far and the payload encoding them; called
+    /// with mutex_ held.
+    virtual std::uint64_t recorded_locked() const = 0;
+    virtual std::vector<std::string> payload_locked() const = 0;
+
+    mutable std::mutex mutex_;
+    /// Owners mark a loaded snapshot's records as flushed.
+    FlushCadence cadence_;
+
+private:
+    void flush_locked();
+
+    std::string path_;
+    std::string kind_;
+    std::uint64_t state_hash_;
+};
 
 } // namespace seamap

@@ -10,12 +10,16 @@
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
+#include "util/strings.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -277,6 +281,70 @@ TEST(DseCheckpoint, TruncatedSnapshotFallsBackToPrev) {
     const std::string baseline = report_bytes(problem, base, explore(problem, base));
     const DseResult resumed = explore(problem, base, nullptr, nullptr, &checkpointer);
     EXPECT_EQ(report_bytes(problem, base, resumed), baseline);
+    remove_checkpoint(path);
+}
+
+TEST(DseCheckpoint, StateHashIsPinned) {
+    // Snapshots on disk are keyed by this value: if it moves, every
+    // existing fig8 snapshot stops resuming. Change the salt in
+    // dse_state_hash on purpose instead of updating this literal.
+    const Problem problem = make_problem(fig8_scenario());
+    EXPECT_EQ(explore_state_hash(problem, ExploreOptions{}), 0x0b044ff611c55e47ULL);
+}
+
+TEST(DseCheckpoint, DamagedPayloadBehindAValidChecksumIsCorrupt) {
+    // Each envelope passes the checksum, so only the payload decoder
+    // stands between the damage and the resumed run.
+    const Problem problem = make_problem(fig8_scenario());
+    const ExploreOptions options = make_options(1);
+    const std::uint64_t hash = explore_state_hash(problem, options);
+    const std::string path = ckpt_path("payload");
+    remove_checkpoint(path);
+    {
+        DseCheckpointer writer(path, hash);
+        (void)explore(problem, options, nullptr, nullptr, &writer);
+    }
+    const std::vector<std::string> pristine = load_checkpoint(path, "dse", hash)->data.lines;
+    const auto feasible_it =
+        std::find_if(pristine.begin(), pristine.end(),
+                     [](const std::string& line) { return line.rfind("feasible ", 0) == 0; });
+    ASSERT_NE(feasible_it, pristine.end());
+    const std::size_t feasible = static_cast<std::size_t>(feasible_it - pristine.begin());
+    const std::vector<std::string> fields = split(pristine[feasible], ' ');
+
+    // fields[2] of a feasible record is its mapping, one core id per task.
+    auto with_mapping = [&](const std::string& csv) {
+        std::string line = fields[0] + ' ' + fields[1] + ' ' + csv;
+        for (std::size_t f = 3; f < fields.size(); ++f) line += ' ' + fields[f];
+        return line;
+    };
+    const std::string& mapping = fields[2];
+    const std::string short_mapping = mapping.substr(0, mapping.rfind(','));
+    const std::string core_too_big = std::to_string(problem.architecture().core_count()) +
+                                     mapping.substr(mapping.find(','));
+
+    const std::vector<std::pair<std::string, std::pair<std::size_t, std::string>>> cases = {
+        {"short mapping", {feasible, with_mapping(short_mapping)}},
+        {"core id >= core count", {feasible, with_mapping(core_too_big)}},
+        {"non-numeric mapping entry", {feasible, with_mapping("x" + mapping.substr(1))}},
+        {"trailing field on a feasible record", {feasible, pristine[feasible] + " 1"}},
+        {"trailing field on a nodesign record", {feasible, "nodesign " + fields[1] + " 1"}},
+    };
+    for (const auto& [label, damage] : cases) {
+        std::vector<std::string> lines = pristine;
+        lines[damage.first] = damage.second;
+        remove_checkpoint(path);
+        save_checkpoint(path, CheckpointData{"dse", hash, lines});
+        DseCheckpointer checkpointer(path, hash);
+        try {
+            (void)checkpointer.load(problem.graph().task_count(),
+                                    problem.architecture().core_count());
+            ADD_FAILURE() << label << ": expected checkpoint_corrupt";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt)
+                << label << ": " << e.what();
+        }
+    }
     remove_checkpoint(path);
 }
 

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -187,6 +189,68 @@ TEST(CampaignCheckpoint, CorruptSnapshotIsRejected) {
         FAIL() << "expected checkpoint_corrupt";
     } catch (const Error& e) {
         EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt);
+    }
+    remove_checkpoint(path);
+}
+
+TEST(CampaignCheckpoint, StateHashIsPinned) {
+    // Snapshots on disk are keyed by this value: if it moves, every
+    // existing snapshot of this design stops resuming. Change the salt
+    // in campaign_state_hash on purpose instead of updating this literal.
+    const Design design = make_design();
+    const CampaignEngine engine(design.problem.ser_model(), make_config(256, 1));
+    EXPECT_EQ(state_hash(design, engine), 0xdd10cd2d7283760bULL);
+}
+
+TEST(CampaignCheckpoint, DamagedPayloadBehindAValidChecksumIsCorrupt) {
+    // Each envelope passes the checksum, so only the payload decoder
+    // and the shape checks stand between the damage and the report.
+    const Design design = make_design();
+    const CampaignEngine engine(design.problem.ser_model(), make_config(256, 1));
+    const std::uint64_t hash = state_hash(design, engine);
+    const std::string path = ckpt_path("payload");
+    remove_checkpoint(path);
+    {
+        CampaignCheckpointer ckpt(path, hash);
+        ckpt.set_cadence(1, 0.0);
+        CancellationToken cancel;
+        ckpt.on_shard_recorded = [&](std::uint64_t done) {
+            if (done >= 4) cancel.request_stop();
+        };
+        (void)run(design, engine, &cancel, &ckpt);
+    }
+    // 3000 trials in shards of 256: 12 shards, the first 4 completed.
+    const std::vector<std::string> pristine =
+        load_checkpoint(path, "campaign", hash)->data.lines;
+    ASSERT_EQ(pristine[0], "shards 12 completed 4");
+    ASSERT_EQ(pristine[1], "done 0f00");
+    const std::size_t cores_line = pristine.size() - 2;
+    const std::string cores = pristine[cores_line].substr(6);
+    ASSERT_EQ(pristine[cores_line], "cores " + cores);
+
+    const std::vector<std::pair<std::string, std::pair<std::size_t, std::string>>> cases = {
+        {"bitmap of the wrong length", {1, "done 0f0000"}},
+        {"non-hex bitmap", {1, "done 0g00"}},
+        {"completed exceeds shards", {0, "shards 12 completed 13"}},
+        {"bitmap disagrees with the completed count", {0, "shards 12 completed 3"}},
+        {"non-numeric counter", {cores_line, "cores x" + cores}},
+        {"counter list of the wrong shape", {cores_line, "cores " + cores + ",0"}},
+        {"moment line of the wrong shape", {2, pristine[2] + " 0"}},
+    };
+    for (const auto& [label, damage] : cases) {
+        std::vector<std::string> lines = pristine;
+        lines[damage.first] = damage.second;
+        remove_checkpoint(path);
+        save_checkpoint(path, CheckpointData{"campaign", hash, lines});
+        CampaignCheckpointer ckpt(path, hash);
+        try {
+            (void)ckpt.load();
+            (void)run(design, engine, nullptr, &ckpt);
+            ADD_FAILURE() << label << ": expected checkpoint_corrupt";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt)
+                << label << ": " << e.what();
+        }
     }
     remove_checkpoint(path);
 }

@@ -1,18 +1,21 @@
 // The generic snapshot layer: atomic writes, the ".prev" rotation,
-// tolerant loads over a corpus of damaged files, and strict identity
-// checks. Everything here runs against real files in the test temp
-// directory.
+// tolerant loads over a corpus of damaged files, strict identity
+// checks, the shared integer codec and the shared flush cadence. The
+// file cases run against real files in the test temp directory.
 #include "util/checkpoint.h"
 
 #include "util/error.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -208,6 +211,74 @@ TEST(CheckpointHash, StreamIsOrderSensitive) {
     d.mix("x");
     d.mix("yz");
     EXPECT_NE(c.value(), d.value());
+}
+
+TEST(CheckpointCsv, IntegerSequencesRoundTrip) {
+    const std::vector<std::uint64_t> xs = {0, 7, 42, ~std::uint64_t{0}};
+    EXPECT_EQ(csv_of_ints(xs), "0,7,42,18446744073709551615");
+    EXPECT_EQ(u64s_of_csv(csv_of_ints(xs), "p"), xs);
+    EXPECT_EQ(csv_of_ints(std::vector<std::uint32_t>{3, 1}), "3,1");
+    EXPECT_EQ(csv_of_ints(std::vector<std::uint64_t>{}), "");
+    EXPECT_TRUE(u64s_of_csv("", "p").empty());
+}
+
+TEST(CheckpointCsv, NonNumericFieldIsCorruptNamingThePath) {
+    for (const char* csv : {"1,x,3", "1,,3", "1,2,", "-1"}) {
+        try {
+            (void)u64s_of_csv(csv, "snap.ckpt");
+            ADD_FAILURE() << "expected checkpoint_corrupt for '" << csv << "'";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt) << csv;
+            EXPECT_EQ(e.context(), "snap.ckpt") << csv;
+        }
+    }
+}
+
+TEST(FlushCadence, DueAfterEveryNPendingRecords) {
+    FlushCadence cadence;
+    cadence.set(3, 0.0);
+    EXPECT_FALSE(cadence.due(1));
+    EXPECT_FALSE(cadence.due(2));
+    EXPECT_TRUE(cadence.due(3));
+    cadence.flushed(3);
+    EXPECT_FALSE(cadence.due(5));
+    EXPECT_TRUE(cadence.due(6));
+    EXPECT_TRUE(cadence.due(100));
+}
+
+TEST(FlushCadence, EveryZeroNeverFiresByCount) {
+    FlushCadence cadence;
+    cadence.set(0, 0.0);
+    for (const std::uint64_t recorded : {std::uint64_t{1}, std::uint64_t{64},
+                                         std::uint64_t{1'000'000}}) {
+        EXPECT_TRUE(cadence.pending(recorded)) << recorded;
+        EXPECT_FALSE(cadence.due(recorded)) << recorded;
+    }
+}
+
+TEST(FlushCadence, NeverDueWhileNothingIsPending) {
+    FlushCadence cadence;
+    cadence.set(1, 1e-9); // both triggers armed; the interval is always elapsed
+    EXPECT_FALSE(cadence.pending(0));
+    EXPECT_FALSE(cadence.due(0));
+    cadence.flushed(4);
+    EXPECT_FALSE(cadence.pending(4));
+    EXPECT_FALSE(cadence.due(4));
+    EXPECT_TRUE(cadence.due(5));
+    cadence.flushed(0); // the files were removed: everything is pending again
+    EXPECT_TRUE(cadence.due(4));
+}
+
+TEST(FlushCadence, IntervalRestartsAfterAFlush) {
+    FlushCadence cadence;
+    cadence.set(0, 0.2);
+    EXPECT_FALSE(cadence.due(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    EXPECT_TRUE(cadence.due(1));
+    cadence.flushed(1);
+    EXPECT_FALSE(cadence.due(2)); // a fresh interval started at the flush
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    EXPECT_TRUE(cadence.due(2));
 }
 
 } // namespace
