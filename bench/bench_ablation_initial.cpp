@@ -5,6 +5,7 @@
 // workloads and budgets.
 #include "bench_common.h"
 #include "core/initial_mapping.h"
+#include "core/optimized_mapping.h"
 #include "util/table.h"
 
 #include "taskgraph/mpeg2.h"
@@ -28,11 +29,10 @@ Outcome search_from(const EvaluationContext& ctx, bool use_greedy, std::uint64_t
                     std::uint64_t seed) {
     LocalSearchParams params;
     params.max_iterations = iterations;
-    params.seed = seed;
     const Mapping start = use_greedy
                               ? initial_sea_mapping(ctx)
                               : round_robin_mapping(ctx.graph, ctx.arch.core_count());
-    const LocalSearchResult result = OptimizedMapping(params).optimize(ctx, start);
+    const LocalSearchResult result = OptimizedMapping(params).search(ctx, start, seed);
     return {result.found_feasible, result.best_metrics.gamma};
 }
 

@@ -5,6 +5,7 @@
 //   move+swap+sweep (the default: periodic exhaustive single-move pass)
 #include "bench_common.h"
 #include "core/initial_mapping.h"
+#include "core/optimized_mapping.h"
 #include "util/table.h"
 
 #include "taskgraph/mpeg2.h"
@@ -25,9 +26,8 @@ double run_variant(const EvaluationContext& ctx, double swap_probability,
     params.max_iterations = iterations;
     params.swap_probability = swap_probability;
     params.sweep_interval = sweep_interval;
-    params.seed = seed;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(ctx, initial_sea_mapping(ctx));
+        OptimizedMapping(params).search(ctx, initial_sea_mapping(ctx), seed);
     return result.found_feasible ? result.best_metrics.gamma : -1.0;
 }
 

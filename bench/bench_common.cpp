@@ -1,4 +1,5 @@
 #include "bench_common.h"
+#include "baseline/simulated_annealing.h"
 #include "core/initial_mapping.h"
 #include "core/optimized_mapping.h"
 
@@ -13,9 +14,8 @@ std::optional<ExperimentDesign> optimize_at_scaling(const EvaluationContext& ctx
         LocalSearchParams params;
         params.max_iterations = budget.mapping_iterations;
         params.require_all_cores = true; // paper designs populate every core
-        params.seed = budget.seed;
         const LocalSearchResult result =
-            OptimizedMapping(params).optimize(ctx, initial_sea_mapping(ctx));
+            OptimizedMapping(params).search(ctx, initial_sea_mapping(ctx), budget.seed);
         if (!result.found_feasible) return std::nullopt;
         return ExperimentDesign{ctx.levels, result.best_mapping, result.best_metrics};
     }
@@ -26,9 +26,9 @@ std::optional<ExperimentDesign> optimize_at_scaling(const EvaluationContext& ctx
     SaParams params;
     params.iterations = budget.mapping_iterations;
     params.require_all_cores = true; // paper designs populate every core
-    params.seed = budget.seed;
-    const SaResult result = SimulatedAnnealingMapper(params).optimize(
-        ctx, objective, round_robin_mapping(ctx.graph, ctx.arch.core_count()));
+    const Mapping initial = round_robin_mapping(ctx.graph, ctx.arch.core_count());
+    const LocalSearchResult result =
+        SimulatedAnnealingMapper(params, objective).search(ctx, initial, budget.seed);
     if (!result.found_feasible) return std::nullopt;
     return ExperimentDesign{ctx.levels, result.best_mapping, result.best_metrics};
 }

@@ -7,9 +7,7 @@
 
 #include "arch/mpsoc.h"
 #include "arch/scaling_enumerator.h"
-#include "baseline/simulated_annealing.h"
 #include "core/dse.h"
-#include "core/optimized_mapping.h"
 #include "reliability/design_eval.h"
 #include "sched/mapping.h"
 #include "taskgraph/task_graph.h"

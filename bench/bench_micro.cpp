@@ -94,7 +94,7 @@ void bm_sa_annealing_run(benchmark::State& state) {
     const SimulatedAnnealingMapper mapper(params);
     const Mapping initial = round_robin_mapping(graph, 4);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mapper.optimize(ctx, MappingObjective::seu_count, initial));
+        benchmark::DoNotOptimize(mapper.search(ctx, initial, 1));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }

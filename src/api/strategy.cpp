@@ -7,37 +7,6 @@
 
 namespace seamap {
 
-AnnealingStrategy::AnnealingStrategy(SaParams params, MappingObjective objective)
-    : params_(params), objective_(objective) {
-    (void)SimulatedAnnealingMapper(params_);
-}
-
-std::string AnnealingStrategy::name() const { return "annealing"; }
-
-LocalSearchResult AnnealingStrategy::search(const EvaluationContext& ctx,
-                                            const Mapping& initial, std::uint64_t seed,
-                                            const CancellationToken* cancel) const {
-    EvalContext eval(ctx);
-    return search(eval, initial, seed, cancel);
-}
-
-LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& initial,
-                                            std::uint64_t seed,
-                                            const CancellationToken* cancel) const {
-    SaParams params = params_;
-    params.seed = seed;
-    const SaResult annealed =
-        SimulatedAnnealingMapper(params).optimize(eval, objective_, initial, cancel);
-    LocalSearchResult result;
-    result.best_mapping = annealed.best_mapping;
-    result.best_metrics = annealed.best_metrics;
-    result.found_feasible = annealed.found_feasible;
-    result.iterations_run = annealed.iterations_run;
-    result.improvements = annealed.accepted_moves;
-    result.evaluations = annealed.evaluations;
-    return result;
-}
-
 namespace {
 
 struct Registry {
@@ -46,7 +15,7 @@ struct Registry {
 
     Registry() {
         entries.emplace_back("optimized", [](const StrategyOptions& options) {
-            return std::make_unique<OptimizedMappingStrategy>(options);
+            return std::make_unique<OptimizedMapping>(options);
         });
         entries.emplace_back("annealing", [](const StrategyOptions& options) {
             SaParams params;
@@ -56,7 +25,7 @@ struct Registry {
             params.final_temperature = options.final_temperature;
             params.swap_probability = options.swap_probability;
             params.require_all_cores = options.require_all_cores;
-            return std::make_unique<AnnealingStrategy>(params);
+            return std::make_unique<SimulatedAnnealingMapper>(params);
         });
     }
 };

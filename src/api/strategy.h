@@ -1,22 +1,18 @@
-// The name-keyed search-strategy registry of the public API, plus the
-// SA-baseline adapter. The SearchStrategy contract itself (and the
-// Fig. 7 "optimized" implementation) lives in core/search_strategy.h —
-// the explorer consumes the interface without looking upward; this
-// header is where interchangeable engines are *assembled and named*:
-// the built-ins "optimized" and "annealing" are pre-registered, and a
-// new backend is one register_search_strategy() call away.
+// The name-keyed search-strategy registry of the public API. The
+// SearchStrategy contract lives in core/search_strategy.h — the
+// explorer consumes the interface without looking upward — and the two
+// built-in engines implement it directly: OptimizedMapping (the Fig. 7
+// search, core/optimized_mapping.h) and SimulatedAnnealingMapper (the
+// SA baseline, baseline/simulated_annealing.h). This header is where
+// interchangeable engines are *assembled and named*: the built-ins
+// "optimized" and "annealing" are pre-registered, and a new backend is
+// one register_search_strategy() call away.
 #pragma once
 
-#include "baseline/objectives.h"
-#include "baseline/simulated_annealing.h"
-#include "core/eval_context.h"
-#include "core/optimized_mapping.h"
+#include "baseline/simulated_annealing.h" // arch-check: export
+#include "core/optimized_mapping.h"        // arch-check: export
 #include "core/search_strategy.h"
-#include "reliability/design_eval.h"
-#include "sched/mapping.h"
-#include "util/cancellation.h"
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,29 +30,6 @@ namespace seamap {
 /// concepts the annealing baseline ignores. The `seed` field is always
 /// ignored — per-scaling seeds arrive through search().
 using StrategyOptions = LocalSearchParams;
-
-/// The simulated-annealing baseline mapper [13], annealing on any of
-/// the Table II objectives (Gamma by default, which makes it a fair
-/// soft-error-aware baseline). The `seed` field of the params is
-/// ignored — search() uses its seed argument.
-class AnnealingStrategy final : public SearchStrategy {
-public:
-    /// Validates the params eagerly (bad budgets/temperatures throw
-    /// here, not mid-exploration on a worker thread).
-    explicit AnnealingStrategy(SaParams params = {},
-                               MappingObjective objective = MappingObjective::seu_count);
-
-    std::string name() const override;
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
-    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
-
-private:
-    SaParams params_;
-    MappingObjective objective_;
-};
 
 using StrategyFactory = std::function<std::unique_ptr<SearchStrategy>(const StrategyOptions&)>;
 

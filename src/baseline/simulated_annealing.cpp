@@ -1,5 +1,7 @@
 #include "baseline/simulated_annealing.h"
 
+#include "util/rng.h"
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -22,7 +24,8 @@ double penalized_cost(const SaParams& params, MappingObjective objective,
 
 } // namespace
 
-SimulatedAnnealingMapper::SimulatedAnnealingMapper(SaParams params) : params_(params) {
+SimulatedAnnealingMapper::SimulatedAnnealingMapper(SaParams params, MappingObjective objective)
+    : params_(params), objective_(objective) {
     if (params_.iterations == 0 && params_.time_budget_seconds <= 0.0)
         throw std::invalid_argument(
             "SimulatedAnnealingMapper: need an iteration or time budget");
@@ -35,27 +38,29 @@ SimulatedAnnealingMapper::SimulatedAnnealingMapper(SaParams params) : params_(pa
         throw std::invalid_argument("SimulatedAnnealingMapper: penalty must be >= 0");
 }
 
-SaResult SimulatedAnnealingMapper::optimize(const EvaluationContext& ctx,
-                                            MappingObjective objective,
-                                            const Mapping& initial,
-                                            const CancellationToken* cancel) const {
+std::string SimulatedAnnealingMapper::name() const { return "annealing"; }
+
+LocalSearchResult SimulatedAnnealingMapper::search(const EvaluationContext& ctx,
+                                                   const Mapping& initial, std::uint64_t seed,
+                                                   const CancellationToken* cancel) const {
     EvalContext eval(ctx);
-    return optimize(eval, objective, initial, cancel);
+    return search(eval, initial, seed, cancel);
 }
 
-SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective objective,
-                                            const Mapping& initial,
-                                            const CancellationToken* cancel) const {
+LocalSearchResult SimulatedAnnealingMapper::search(EvalContext& eval, const Mapping& initial,
+                                                   std::uint64_t seed,
+                                                   const CancellationToken* cancel) const {
     if (!initial.complete())
         throw std::invalid_argument("SimulatedAnnealingMapper: initial mapping incomplete");
     const double deadline_seconds = eval.problem().deadline_seconds;
 
-    Rng rng(params_.seed);
+    Rng rng(seed);
     Mapping current = initial;
     DesignMetrics current_metrics = eval.rebase(current);
-    double current_cost = penalized_cost(params_, objective, current_metrics, deadline_seconds);
+    double current_cost =
+        penalized_cost(params_, objective_, current_metrics, deadline_seconds);
 
-    SaResult result;
+    LocalSearchResult result;
     result.best_mapping = current;
     result.best_metrics = current_metrics;
     result.found_feasible = current_metrics.feasible;
@@ -67,8 +72,8 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
         if (metrics.feasible && !result.found_feasible) return true;
         if (metrics.feasible == result.found_feasible) {
             if (result.found_feasible)
-                return objective_value(objective, metrics) <
-                       objective_value(objective, result.best_metrics);
+                return objective_value(objective_, metrics) <
+                       objective_value(objective_, result.best_metrics);
             return metrics.tm_seconds < result.best_metrics.tm_seconds;
         }
         return false;
@@ -95,7 +100,7 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
         const DesignMetrics neighbor_metrics = eval.evaluate_neighbor(op);
         ++result.evaluations;
         const double neighbor_cost =
-            penalized_cost(params_, objective, neighbor_metrics, deadline_seconds);
+            penalized_cost(params_, objective_, neighbor_metrics, deadline_seconds);
 
         const double relative_delta =
             current_cost > 0.0 ? (neighbor_cost - current_cost) / current_cost
@@ -107,7 +112,7 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
             current_metrics = neighbor_metrics;
             current_cost = neighbor_cost;
             eval.rebase(current);
-            ++result.accepted_moves;
+            ++result.improvements;
             if (better_than_best(current_metrics)) {
                 result.best_mapping = current;
                 result.best_metrics = current_metrics;

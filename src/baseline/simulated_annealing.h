@@ -3,17 +3,20 @@
 // application distribution"): move/swap neighbourhood over complete
 // mappings, geometric cooling, relative-cost acceptance and a deadline
 // penalty. Objectives are pluggable so one engine serves Exp:1-3 (and
-// an SA-on-Gamma ablation).
+// an SA-on-Gamma ablation). The engine implements the SearchStrategy
+// interface (core/search_strategy.h) directly and is registered as
+// "annealing".
 #pragma once
 
 #include "baseline/objectives.h"
 #include "core/eval_context.h"
+#include "core/search_strategy.h"
 #include "reliability/design_eval.h"
 #include "sched/mapping.h"
 #include "util/cancellation.h"
-#include "util/rng.h"
 
 #include <cstdint>
+#include <string>
 
 namespace seamap {
 
@@ -22,7 +25,7 @@ namespace seamap {
 struct SaParams {
     /// Iteration budget; 0 = no cap (a time budget must then be set).
     std::uint64_t iterations = 20'000;
-    /// Wall-clock cap on one optimize() call, seconds; 0 = none.
+    /// Wall-clock cap on one search() call, seconds; 0 = none.
     double time_budget_seconds = 0.0;
     /// Initial/final temperature, relative to the current cost.
     double initial_temperature = 0.30;
@@ -36,42 +39,40 @@ struct SaParams {
     /// Reject moves that would leave a populated core without tasks
     /// (the paper's designs keep every core populated).
     bool require_all_cores = false;
-    std::uint64_t seed = 1;
 };
 
-/// Best design found by one annealing run.
-struct SaResult {
-    Mapping best_mapping;
-    DesignMetrics best_metrics;
-    bool found_feasible = false;
-    std::uint64_t iterations_run = 0;
-    std::uint64_t accepted_moves = 0;
-    std::uint64_t evaluations = 0;
-};
-
-/// One annealing engine; stateless apart from its parameters.
-class SimulatedAnnealingMapper {
+/// One annealing engine; stateless apart from its parameters and the
+/// objective it anneals on (Gamma by default, which makes it a fair
+/// soft-error-aware baseline). Its result counts accepted moves as
+/// `improvements`.
+class SimulatedAnnealingMapper final : public SearchStrategy {
 public:
-    explicit SimulatedAnnealingMapper(SaParams params);
+    /// Validates the params eagerly (bad budgets/temperatures throw
+    /// here, not mid-exploration on a worker thread).
+    explicit SimulatedAnnealingMapper(
+        SaParams params, MappingObjective objective = MappingObjective::seu_count);
+
+    std::string name() const override;
 
     /// Anneal from `initial` (must be complete). The best *feasible*
     /// design seen is returned; if none is feasible, the design with
     /// the smallest deadline violation. An optional `cancel` token is
     /// checked once per iteration and stops the walk early. Builds a
     /// fresh EvalContext internally (fast path, default EvalOptions).
-    SaResult optimize(const EvaluationContext& ctx, MappingObjective objective,
-                      const Mapping& initial,
-                      const CancellationToken* cancel = nullptr) const;
+    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
+                             std::uint64_t seed,
+                             const CancellationToken* cancel = nullptr) const override;
 
     /// Anneal on a caller-provided evaluation context (per-scaling
     /// scratch reuse; tests/benches select the naive-reference
     /// path through it). The walk is a pure function of
     /// (ctx, objective, initial, seed) for every EvalOptions choice.
-    SaResult optimize(EvalContext& eval, MappingObjective objective, const Mapping& initial,
-                      const CancellationToken* cancel = nullptr) const;
+    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
+                             const CancellationToken* cancel = nullptr) const override;
 
 private:
     SaParams params_;
+    MappingObjective objective_;
 };
 
 } // namespace seamap

@@ -4,6 +4,7 @@
 #include "core/initial_mapping.h"
 #include "core/lazy_scaling_queue.h"
 #include "core/observer.h"
+#include "core/optimized_mapping.h"
 #include "core/replay_ledger.h"
 #include "core/scaling_bounds.h"
 #include "core/search_strategy.h"
@@ -84,12 +85,13 @@ const LocalSearchResult* fold_min_power(const std::vector<LocalSearchResult>& st
 /// set (no evaluation-order sensitivity), which is what makes it
 /// invariant under dominance pruning: pruned designs never reach a
 /// front.
-std::optional<DsePoint> select_best(const std::vector<DsePoint>& front, double tie) {
+std::optional<DsePoint> select_best(const std::vector<DsePoint>& front) {
     if (front.empty()) return std::nullopt;
     const DsePoint* best = &front.front();
     for (std::size_t i = 1; i < front.size(); ++i) {
         const DsePoint& candidate = front[i];
-        if (within_relative_tie(candidate.metrics.power_mw, best->metrics.power_mw, tie) &&
+        if (within_relative_tie(candidate.metrics.power_mw, best->metrics.power_mw,
+                                k_power_tie_tolerance) &&
             candidate.metrics.gamma < best->metrics.gamma)
             best = &candidate;
     }
@@ -138,7 +140,7 @@ DesignSpaceExplorer::DesignSpaceExplorer(SerModel ser, ExposurePolicy policy)
 DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchitecture& arch,
                                        double deadline_seconds,
                                        const DseParams& params) const {
-    const OptimizedMappingStrategy strategy(params.search);
+    const OptimizedMapping strategy(params.search);
     return explore(graph, arch, deadline_seconds, params, strategy);
 }
 
@@ -171,7 +173,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     std::uint64_t skipped_count = 0; ///< gate skips; producer thread only
 
     const std::size_t starts = std::max<std::size_t>(1, params.multi_start);
-    const double tie = std::max(0.0, params.power_tie_tolerance);
 
     // Observer state: callbacks are serialized behind one mutex. The
     // streamed incumbent is the step-3 rule applied to the Pareto front
@@ -210,7 +211,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         if (observed_front.dominates(ScalingBounds{metrics.power_mw, metrics.gamma})) return;
         observed_front.insert(metrics.power_mw, metrics.gamma);
         observed_points.push_back(DsePoint{levels, verdict->point.mapping, metrics});
-        std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points), tie);
+        std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points));
         // A design's metrics are a pure function of (levels, mapping).
         const bool changed = incumbent && (!observed_best ||
                                            incumbent->levels != observed_best->levels ||
@@ -364,7 +365,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // minimum power, breaking near-ties by Gamma. Applied to the front,
     // where the rule is order-independent and prune-invariant.
     result.pareto_front = pareto_front_of(result.feasible_points);
-    result.best = select_best(result.pareto_front, tie);
+    result.best = select_best(result.pareto_front);
     if (observer != nullptr) observer->on_explore_end(result);
     return result;
 }

@@ -36,7 +36,7 @@
 #include "arch/mpsoc.h"
 #include "arch/scaling_enumerator.h"
 #include "core/eval_context.h"
-#include "core/optimized_mapping.h"
+#include "core/search_strategy.h"
 #include "reliability/design_eval.h"
 #include "reliability/ser_model.h"
 #include "reliability/seu_estimator.h"
@@ -50,7 +50,6 @@
 
 namespace seamap {
 
-class SearchStrategy;   // core/search_strategy.h
 class ProgressObserver; // core/observer.h
 class DseCheckpointer;  // core/dse_checkpoint.h
 
@@ -60,6 +59,10 @@ struct DsePoint {
     Mapping mapping;
     DesignMetrics metrics;
 };
+
+/// Relative power window within which designs count as "equal power"
+/// for the paper's step-3 Gamma tie-break.
+inline constexpr double k_power_tie_tolerance = 5e-3;
 
 /// Exploration knobs.
 struct DseParams {
@@ -74,9 +77,6 @@ struct DseParams {
     /// Start stage 2 from the stage-1 greedy mapping (Fig. 6). Off =
     /// ablation: start from a round-robin mapping instead.
     bool use_initial_sea_mapping = true;
-    /// Relative power window within which designs count as "equal
-    /// power" for the Gamma tie-break.
-    double power_tie_tolerance = 5e-3;
     /// Worker threads for the per-scaling mapping searches (each
     /// scaling is an independent search with its own derived seed).
     /// 1 = serial; 0 = one per hardware thread, clamped to

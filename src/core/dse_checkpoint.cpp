@@ -155,7 +155,7 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     h.mix(s.seed);
     h.mix(static_cast<std::uint64_t>(s.track_min_power));
     h.mix(static_cast<std::uint64_t>(params.use_initial_sea_mapping));
-    h.mix_double(params.power_tie_tolerance);
+    h.mix_double(k_power_tie_tolerance);
     h.mix(static_cast<std::uint64_t>(params.prune));
     h.mix(std::max<std::size_t>(1, params.multi_start));
     h.mix(strategy_name);

@@ -168,7 +168,6 @@ public:
 
     /// The problem this context evaluates against.
     const EvaluationContext& problem() const { return ctx_; }
-    const EvalOptions& options() const { return options_; }
 
     /// Full evaluation of a complete mapping; bit-identical to
     /// evaluate_design(problem(), mapping). Allocation-free after the
@@ -184,8 +183,6 @@ public:
     /// instead, which would help high-acceptance (hot) walk phases.
     DesignMetrics rebase(const Mapping& base);
 
-    /// True once rebase() has run.
-    bool has_base() const { return has_base_; }
     const Mapping& base() const { return base_; }
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 

@@ -19,15 +19,18 @@ OptimizedMapping::OptimizedMapping(LocalSearchParams params) : params_(params) {
         throw std::invalid_argument("OptimizedMapping: bad swap probability");
 }
 
-LocalSearchResult OptimizedMapping::optimize(const EvaluationContext& ctx,
-                                             const Mapping& initial,
-                                             const CancellationToken* cancel) const {
+std::string OptimizedMapping::name() const { return "optimized"; }
+
+LocalSearchResult OptimizedMapping::search(const EvaluationContext& ctx,
+                                           const Mapping& initial, std::uint64_t seed,
+                                           const CancellationToken* cancel) const {
     EvalContext eval(ctx);
-    return optimize(eval, initial, cancel);
+    return search(eval, initial, seed, cancel);
 }
 
-LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& initial,
-                                             const CancellationToken* cancel) const {
+LocalSearchResult OptimizedMapping::search(EvalContext& eval, const Mapping& initial,
+                                           std::uint64_t seed,
+                                           const CancellationToken* cancel) const {
     if (!initial.complete())
         throw std::invalid_argument("OptimizedMapping: initial mapping incomplete");
     const EvaluationContext& ctx = eval.problem();
@@ -35,7 +38,7 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
     const SearchBudget budget(params_.max_iterations, params_.time_budget_seconds, cancel);
     auto stopped = [&] { return cancel != nullptr && cancel->stop_requested(); };
 
-    Rng rng(params_.seed);
+    Rng rng(seed);
     Mapping current = initial;                           // step A
     DesignMetrics current_metrics = eval.rebase(current); // list schedule M
 

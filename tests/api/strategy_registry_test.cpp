@@ -9,10 +9,14 @@
 #include "taskgraph/mpeg2.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -108,6 +112,114 @@ TEST(StrategyRegistry, StrategiesAreDeterministicGivenTheSameSeed) {
         EXPECT_EQ(a.best_metrics.gamma, b.best_metrics.gamma) << name;
         EXPECT_EQ(a.evaluations, b.evaluations) << name;
     }
+}
+
+/// What one walk returned, metrics as IEEE-754 bit patterns so a pin
+/// compares exactly. PrintTo writes the C++ initializer a pin needs.
+struct WalkPin {
+    std::vector<CoreId> mapping;
+    std::uint64_t gamma_bits = 0;
+    std::uint64_t power_bits = 0;
+    std::uint64_t tm_bits = 0;
+    std::uint64_t evaluations = 0;
+    std::uint64_t iterations_run = 0;
+    std::uint64_t improvements = 0;
+    bool found_feasible = false;
+
+    bool operator==(const WalkPin&) const = default;
+};
+
+WalkPin pin_of(const Mapping& mapping, const DesignMetrics& metrics,
+               const LocalSearchResult& result) {
+    return {mapping.raw(),
+            std::bit_cast<std::uint64_t>(metrics.gamma),
+            std::bit_cast<std::uint64_t>(metrics.power_mw),
+            std::bit_cast<std::uint64_t>(metrics.tm_seconds),
+            result.evaluations,
+            result.iterations_run,
+            result.improvements,
+            result.found_feasible};
+}
+
+WalkPin best_pin(const LocalSearchResult& result) {
+    return pin_of(result.best_mapping, result.best_metrics, result);
+}
+
+void PrintTo(const WalkPin& pin, std::ostream* os) {
+    *os << "{{";
+    for (std::size_t i = 0; i < pin.mapping.size(); ++i)
+        *os << (i > 0 ? ", " : "") << pin.mapping[i];
+    *os << std::hex << "}, 0x" << pin.gamma_bits << "ULL, 0x" << pin.power_bits << "ULL, 0x"
+        << pin.tm_bits << "ULL, " << std::dec << pin.evaluations << ", " << pin.iterations_run
+        << ", " << pin.improvements << ", " << (pin.found_feasible ? "true" : "false") << "}";
+}
+
+/// The walks both engines run, pinned on fig8 to the values the
+/// engines produced before they implemented SearchStrategy directly.
+/// The budget is short enough that the walks stop short of the common
+/// optimum, so the pinned values still depend on the path each walk
+/// took: its RNG draws, acceptance tests and best tracking.
+class PinnedWalks : public ::testing::Test {
+protected:
+    const Problem problem = fig8_problem();
+    const EvaluationContext ctx = problem.evaluation_context({1, 1, 3});
+    const Mapping initial = round_robin_mapping(problem.graph(), 3);
+    static constexpr std::uint64_t iterations = 200;
+    static constexpr std::uint64_t seed = 11;
+};
+
+TEST_F(PinnedWalks, Optimized) {
+    const auto strategy = make_search_strategy("optimized", {.max_iterations = iterations});
+    const WalkPin expected = {
+        {0, 1, 0, 1, 0, 1},
+        0x4086147ae147ae14ULL, 0x4031f3b645a1cac0ULL, 0x3fb3333333333333ULL,
+        289, 200, 4, true};
+    EXPECT_EQ(best_pin(strategy->search(ctx, initial, seed)), expected);
+    EvalContext eval(ctx);
+    EXPECT_EQ(best_pin(strategy->search(eval, initial, seed)), expected);
+}
+
+TEST_F(PinnedWalks, OptimizedTrackingMinPower) {
+    const auto strategy = make_search_strategy(
+        "optimized", {.max_iterations = iterations, .track_min_power = true});
+    const LocalSearchResult result = strategy->search(ctx, initial, seed);
+    // Tracking is pure observation: the walk matches the untracked one.
+    const auto untracked = make_search_strategy("optimized", {.max_iterations = iterations});
+    EXPECT_EQ(best_pin(result), best_pin(untracked->search(ctx, initial, seed)));
+    const WalkPin expected = {
+        {0, 1, 0, 1, 0, 1},
+        0x4086147ae147ae14ULL, 0x4031f3b645a1cac0ULL, 0x3fb3333333333333ULL,
+        289, 200, 4, true};
+    EXPECT_EQ(best_pin(result), expected);
+    ASSERT_TRUE(result.min_power_found);
+    const WalkPin expected_min_power = {
+        {1, 2, 1, 1, 0, 1},
+        0x408931df412c776fULL, 0x40312b299a2f7b25ULL, 0x3fb331b9e6bae631ULL,
+        289, 200, 4, true};
+    EXPECT_EQ(pin_of(result.min_power_mapping, result.min_power_metrics, result),
+              expected_min_power);
+}
+
+TEST_F(PinnedWalks, Annealing) {
+    const auto strategy = make_search_strategy("annealing", {.max_iterations = iterations});
+    const WalkPin expected = {
+        {1, 1, 1, 1, 0, 1},
+        0x408020c49ba5e354ULL, 0x40320ccccccccccdULL, 0x3fb26e978d4fdf3bULL,
+        201, 200, 16, true};
+    EXPECT_EQ(best_pin(strategy->search(ctx, initial, seed)), expected);
+    EvalContext eval(ctx);
+    EXPECT_EQ(best_pin(strategy->search(eval, initial, seed)), expected);
+}
+
+TEST_F(PinnedWalks, AnnealingOnMakespan) {
+    SaParams params;
+    params.iterations = iterations;
+    const SimulatedAnnealingMapper strategy(params, MappingObjective::makespan);
+    const WalkPin expected = {
+        {1, 1, 1, 1, 0, 1},
+        0x408020c49ba5e354ULL, 0x40320ccccccccccdULL, 0x3fb26e978d4fdf3bULL,
+        201, 200, 21, true};
+    EXPECT_EQ(best_pin(strategy.search(ctx, initial, seed)), expected);
 }
 
 /// A trivial engine: score the initial mapping, move nothing. Good

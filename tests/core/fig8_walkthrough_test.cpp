@@ -51,9 +51,8 @@ TEST(Fig8Walkthrough, Stage2MeetsThe75msDeadline) {
     const Mapping initial = initial_sea_mapping(w.ctx);
     LocalSearchParams params;
     params.max_iterations = 3'000;
-    params.seed = 8;
     const OptimizedMapping searcher(params);
-    const LocalSearchResult result = searcher.optimize(w.ctx, initial);
+    const LocalSearchResult result = searcher.search(w.ctx, initial, 8);
     ASSERT_TRUE(result.found_feasible) << "a feasible mapping exists for this example";
     EXPECT_LE(result.best_metrics.tm_seconds, k_fig8_deadline_seconds * (1.0 + 1e-9));
 }
@@ -64,8 +63,7 @@ TEST(Fig8Walkthrough, Stage2NeverIncreasesGammaOfAFeasibleStart) {
     const DesignMetrics initial_metrics = evaluate_design(w.ctx, initial);
     LocalSearchParams params;
     params.max_iterations = 3'000;
-    params.seed = 8;
-    const LocalSearchResult result = OptimizedMapping(params).optimize(w.ctx, initial);
+    const LocalSearchResult result = OptimizedMapping(params).search(w.ctx, initial, 8);
     ASSERT_TRUE(result.found_feasible);
     if (initial_metrics.feasible) {
         EXPECT_LE(result.best_metrics.gamma, initial_metrics.gamma);
@@ -79,9 +77,8 @@ TEST(Fig8Walkthrough, OptimizedBeatsEveryNaiveMapping) {
     Walkthrough w;
     LocalSearchParams params;
     params.max_iterations = 4'000;
-    params.seed = 8;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(w.ctx, initial_sea_mapping(w.ctx));
+        OptimizedMapping(params).search(w.ctx, initial_sea_mapping(w.ctx), 8);
     ASSERT_TRUE(result.found_feasible);
     for (const Mapping& naive :
          {single_core_mapping(w.graph, 3), round_robin_mapping(w.graph, 3)}) {
@@ -97,9 +94,8 @@ TEST(Fig8Walkthrough, FasterCoreCarriesMoreWork) {
     Walkthrough w;
     LocalSearchParams params;
     params.max_iterations = 4'000;
-    params.seed = 8;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(w.ctx, initial_sea_mapping(w.ctx));
+        OptimizedMapping(params).search(w.ctx, initial_sea_mapping(w.ctx), 8);
     ASSERT_TRUE(result.found_feasible);
     const auto busy = per_core_busy_cycles(w.graph, result.best_mapping, 3);
     EXPECT_GE(busy[0], (busy[1] + busy[2]) / 2);

@@ -16,10 +16,9 @@ struct Fixture {
                           mpeg2_deadline_seconds()};
 };
 
-LocalSearchParams quick_params(std::uint64_t seed = 1) {
+LocalSearchParams quick_params() {
     LocalSearchParams params;
     params.max_iterations = 2'000;
-    params.seed = seed;
     return params;
 }
 
@@ -28,7 +27,7 @@ TEST(OptimizedMapping, NeverWorseThanFeasibleInitial) {
     const Mapping initial = initial_sea_mapping(f.ctx);
     const DesignMetrics initial_metrics = evaluate_design(f.ctx, initial);
     const OptimizedMapping searcher(quick_params());
-    const LocalSearchResult result = searcher.optimize(f.ctx, initial);
+    const LocalSearchResult result = searcher.search(f.ctx, initial, 1);
     ASSERT_TRUE(result.found_feasible);
     if (initial_metrics.feasible) { EXPECT_LE(result.best_metrics.gamma, initial_metrics.gamma); }
     EXPECT_TRUE(result.best_metrics.feasible);
@@ -38,16 +37,16 @@ TEST(OptimizedMapping, NeverWorseThanFeasibleInitial) {
 TEST(OptimizedMapping, RunsExactlyTheIterationBudget) {
     Fixture f;
     const OptimizedMapping searcher(quick_params());
-    const LocalSearchResult result = searcher.optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result = searcher.search(f.ctx, initial_sea_mapping(f.ctx), 1);
     EXPECT_EQ(result.iterations_run, 2'000u);
 }
 
 TEST(OptimizedMapping, DeterministicGivenSeed) {
     Fixture f;
     const Mapping initial = initial_sea_mapping(f.ctx);
-    const OptimizedMapping searcher(quick_params(23));
-    const LocalSearchResult a = searcher.optimize(f.ctx, initial);
-    const LocalSearchResult b = searcher.optimize(f.ctx, initial);
+    const OptimizedMapping searcher(quick_params());
+    const LocalSearchResult a = searcher.search(f.ctx, initial, 23);
+    const LocalSearchResult b = searcher.search(f.ctx, initial, 23);
     EXPECT_EQ(a.best_mapping, b.best_mapping);
     EXPECT_DOUBLE_EQ(a.best_metrics.gamma, b.best_metrics.gamma);
 }
@@ -56,7 +55,7 @@ TEST(OptimizedMapping, ImpossibleDeadlineReturnsClosestDesign) {
     Fixture f;
     EvaluationContext tight{f.graph, f.arch, f.levels, SeuEstimator{SerModel{}}, 1e-6};
     const OptimizedMapping searcher(quick_params());
-    const LocalSearchResult result = searcher.optimize(tight, initial_sea_mapping(tight));
+    const LocalSearchResult result = searcher.search(tight, initial_sea_mapping(tight), 1);
     EXPECT_FALSE(result.found_feasible);
     EXPECT_FALSE(result.best_metrics.feasible);
 }
@@ -68,10 +67,10 @@ TEST(OptimizedMapping, RecoversFeasibilityFromBadStart) {
     const Mapping localized = single_core_mapping(f.graph, 4);
     const DesignMetrics start = evaluate_design(f.ctx, localized);
     ASSERT_FALSE(start.feasible) << "fixture assumption: 1 core at level 2 is too slow";
-    LocalSearchParams params = quick_params(5);
+    LocalSearchParams params = quick_params();
     params.max_iterations = 6'000;
     const OptimizedMapping searcher(params);
-    const LocalSearchResult result = searcher.optimize(f.ctx, localized);
+    const LocalSearchResult result = searcher.search(f.ctx, localized, 5);
     EXPECT_TRUE(result.found_feasible);
 }
 
@@ -82,7 +81,7 @@ TEST(OptimizedMapping, WallClockBudgetStopsSearch) {
     params.time_budget_seconds = 0.05;
     const OptimizedMapping searcher(params);
     const auto start = std::chrono::steady_clock::now();
-    const LocalSearchResult result = searcher.optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result = searcher.search(f.ctx, initial_sea_mapping(f.ctx), 1);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(elapsed.count(), 2.0); // generous: budget is 50 ms
     EXPECT_GT(result.iterations_run, 0u);
@@ -107,7 +106,7 @@ TEST(OptimizedMapping, Validation) {
 
     const OptimizedMapping searcher(quick_params());
     const Mapping incomplete(f.graph.task_count(), 4);
-    EXPECT_THROW((void)searcher.optimize(f.ctx, incomplete), std::invalid_argument);
+    EXPECT_THROW((void)searcher.search(f.ctx, incomplete, 1), std::invalid_argument);
 }
 
 } // namespace

@@ -25,9 +25,8 @@ TEST(RequireAllCores, LocalSearchKeepsEveryCorePopulated) {
     LocalSearchParams params;
     params.max_iterations = 3'000;
     params.require_all_cores = true;
-    params.seed = 4;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+        OptimizedMapping(params).search(f.ctx, initial_sea_mapping(f.ctx), 4);
     ASSERT_TRUE(result.found_feasible);
     EXPECT_EQ(result.best_mapping.used_core_count(), 4u);
 }
@@ -37,9 +36,8 @@ TEST(RequireAllCores, SimulatedAnnealingKeepsEveryCorePopulated) {
     SaParams params;
     params.iterations = 3'000;
     params.require_all_cores = true;
-    params.seed = 4;
-    const SaResult result = SimulatedAnnealingMapper(params).optimize(
-        f.ctx, MappingObjective::seu_count, round_robin_mapping(f.graph, 4));
+    const LocalSearchResult result =
+        SimulatedAnnealingMapper(params).search(f.ctx, round_robin_mapping(f.graph, 4), 4);
     ASSERT_TRUE(result.found_feasible);
     EXPECT_EQ(result.best_mapping.used_core_count(), 4u);
 }
@@ -53,9 +51,8 @@ TEST(RequireAllCores, OffAllowsCoreShutdown) {
     LocalSearchParams params;
     params.max_iterations = 3'000;
     params.require_all_cores = false;
-    params.seed = 4;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+        OptimizedMapping(params).search(f.ctx, initial_sea_mapping(f.ctx), 4);
     ASSERT_TRUE(result.found_feasible);
     EXPECT_LE(result.best_mapping.used_core_count(), 4u);
 }
@@ -69,9 +66,8 @@ TEST(RequireAllCores, PopulationPreservedFromAllCoreStart) {
         LocalSearchParams params;
         params.max_iterations = 1'000;
         params.require_all_cores = true;
-        params.seed = seed;
         const LocalSearchResult result =
-            OptimizedMapping(params).optimize(f.ctx, round_robin_mapping(f.graph, 4));
+            OptimizedMapping(params).search(f.ctx, round_robin_mapping(f.graph, 4), seed);
         EXPECT_EQ(result.best_mapping.used_core_count(), 4u) << "seed " << seed;
     }
 }
@@ -81,9 +77,8 @@ TEST(Restarts, SingleRestartIsPlainWalk) {
     LocalSearchParams params;
     params.max_iterations = 2'000;
     params.restarts = 1;
-    params.seed = 9;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+        OptimizedMapping(params).search(f.ctx, initial_sea_mapping(f.ctx), 9);
     EXPECT_TRUE(result.found_feasible);
     EXPECT_EQ(result.iterations_run, 2'000u);
 }
@@ -93,9 +88,8 @@ TEST(Restarts, ManyRestartsStillRespectBudgetAndFindFeasible) {
     LocalSearchParams params;
     params.max_iterations = 2'000;
     params.restarts = 8;
-    params.seed = 9;
     const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+        OptimizedMapping(params).search(f.ctx, initial_sea_mapping(f.ctx), 9);
     EXPECT_TRUE(result.found_feasible);
     EXPECT_EQ(result.iterations_run, 2'000u);
 }
@@ -112,8 +106,7 @@ TEST(Restarts, NeverWorseThanInitialDesign) {
         LocalSearchParams params;
         params.max_iterations = 1'500;
         params.restarts = restarts;
-        params.seed = 11;
-        const LocalSearchResult result = OptimizedMapping(params).optimize(f.ctx, initial);
+        const LocalSearchResult result = OptimizedMapping(params).search(f.ctx, initial, 11);
         ASSERT_TRUE(result.found_feasible) << restarts << " restarts";
         EXPECT_LE(result.best_metrics.gamma, initial_metrics.gamma) << restarts << " restarts";
     }

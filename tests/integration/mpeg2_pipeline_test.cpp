@@ -80,8 +80,7 @@ TEST(Mpeg2Pipeline, ProposedMapperBeatsParallelismBaselineOnGamma) {
 
     SaParams sa;
     sa.iterations = 6'000;
-    sa.seed = 99;
-    const AnnealingStrategy parallelism_strategy(sa, MappingObjective::makespan);
+    const SimulatedAnnealingMapper parallelism_strategy(sa, MappingObjective::makespan);
     const LocalSearchResult parallelism =
         parallelism_strategy.search(ctx, round_robin_mapping(graph, 4), 99);
     ASSERT_TRUE(parallelism.found_feasible);

@@ -247,6 +247,19 @@ Problem problem_from(const ArgList& args, const std::string& graph_path) {
         .build();
 }
 
+/// The exploration knobs optimize, inject and campaign share; only the
+/// --iterations default differs per command.
+ExploreOptions explore_options(const ArgList& args, std::uint64_t default_iterations) {
+    ExploreOptions options;
+    options.strategy = args.value("--strategy").value_or("optimized");
+    options.dse.search.max_iterations = args.u64("--iterations", default_iterations);
+    options.dse.search.seed = args.u64("--seed", 1);
+    options.dse.num_threads = args.u64("--threads", 1);
+    options.dse.prune = !args.flag("--no-prune");
+    options.dse.multi_start = args.u64("--multi-start", 1);
+    return options;
+}
+
 int cmd_generate(const ArgList& args) {
     const auto positional = args.positionals();
     if (positional.empty()) {
@@ -360,14 +373,8 @@ int cmd_optimize(const ArgList& args) {
     const MpsocArchitecture& arch = problem.architecture();
     const std::size_t cores = arch.core_count();
 
-    ExploreOptions options;
-    options.strategy = args.value("--strategy").value_or("optimized");
-    options.dse.search.max_iterations = args.u64("--iterations", 6'000);
-    options.dse.search.seed = args.u64("--seed", 1);
+    ExploreOptions options = explore_options(args, 6'000);
     options.dse.search.require_all_cores = args.flag("--all-cores");
-    options.dse.num_threads = args.u64("--threads", 1);
-    options.dse.prune = !args.flag("--no-prune");
-    options.dse.multi_start = args.u64("--multi-start", 1);
 
     const CheckpointArgs ckpt = checkpoint_args(args);
     std::optional<DseCheckpointer> checkpointer;
@@ -468,13 +475,7 @@ int cmd_inject(const ArgList& args) {
     const std::uint64_t trials = args.u64("--trials", 200);
     const std::uint64_t seed = args.u64("--seed", 1);
 
-    ExploreOptions options;
-    options.strategy = args.value("--strategy").value_or("optimized");
-    options.dse.search.max_iterations = args.u64("--iterations", 4'000);
-    options.dse.search.seed = seed;
-    options.dse.num_threads = args.u64("--threads", 1);
-    options.dse.prune = !args.flag("--no-prune");
-    options.dse.multi_start = args.u64("--multi-start", 1);
+    const ExploreOptions options = explore_options(args, 4'000);
     const DseResult result = explore(problem, options);
     // One JSON shape for both outcomes: design null (and no "seu"
     // block) when nothing feasible exists, so consumers parse a stable
@@ -535,13 +536,7 @@ int cmd_campaign(const ArgList& args) {
     const Problem problem = problem_from(args, positional[0]);
     const std::uint64_t seed = args.u64("--seed", 1);
 
-    ExploreOptions options;
-    options.strategy = args.value("--strategy").value_or("optimized");
-    options.dse.search.max_iterations = args.u64("--iterations", 4'000);
-    options.dse.search.seed = seed;
-    options.dse.num_threads = args.u64("--threads", 1);
-    options.dse.prune = !args.flag("--no-prune");
-    options.dse.multi_start = args.u64("--multi-start", 1);
+    const ExploreOptions options = explore_options(args, 4'000);
 
     // Two snapshots ride one --checkpoint stem: <FILE>.dse for the
     // exploration (a completed snapshot doubles as a memoized explore on
