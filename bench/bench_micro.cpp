@@ -1,16 +1,16 @@
 // google-benchmark microbenchmarks of the library's hot kernels: list
 // scheduling, register-union computation, Gamma estimation, full design
-// evaluation, a simulated-annealing step, the scaling enumerator, a
-// fault-injection trial, and the public-API search strategies behind
-// their common interface. These are the per-iteration costs that
-// determine how much design space a given search budget covers.
+// evaluation, a simulated-annealing step, the scaling enumerator, the
+// sharded fault-injection campaign, and the public-API search
+// strategies behind their common interface. These are the
+// per-iteration costs that determine how much design space a given
+// search budget covers.
 #include "reliability/register_usage.h"
 #include "seamap/seamap.h"
 
 #include "api/scenarios.h"
 #include "core/initial_mapping.h"
 #include "sim/campaign.h"
-#include "sim/fault_injection.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 
@@ -411,46 +411,11 @@ void bm_scaling_enumeration(benchmark::State& state) {
 }
 BENCHMARK(bm_scaling_enumeration)->Arg(4)->Arg(8)->Arg(16);
 
-void bm_fault_injection_trial(benchmark::State& state) {
-    const TaskGraph graph = benchmark_graph(state.range(0));
-    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-    const Mapping mapping = round_robin_mapping(graph, 4);
-    const ScalingVector levels = {2, 2, 2, 2};
-    const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
-    const FaultInjector injector(SerModel{}, SimExposurePolicy::full_duration);
-    Rng rng(7);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            injector.inject(graph, mapping, arch, levels, schedule, rng));
-    }
-}
-BENCHMARK(bm_fault_injection_trial)->Arg(11)->Arg(100);
-
 // Campaign throughput, the BENCH_8 perf-trajectory point: injections/s
-// of the serial single-loop FaultInjector::run_campaign vs the sharded
-// CampaignEngine (register-file site only, so both run the identical
-// per-trial draw sequence). The sharded engine dispatches shards over
-// all hardware threads; on a 1-core machine the two measure the same
-// per-trial cost and the comparison degenerates to the engine's
-// dispatch overhead (the documented 1-core fallback).
+// of the sharded CampaignEngine on the register-file site alone (the
+// eq. (3) process `seamap_cli inject` runs), shards dispatched over all
+// hardware threads.
 constexpr std::uint64_t k_campaign_bench_trials = 2'000;
-
-void bm_campaign_serial(benchmark::State& state) {
-    const TaskGraph graph = benchmark_graph(state.range(0));
-    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-    const Mapping mapping = round_robin_mapping(graph, 4);
-    const ScalingVector levels = {2, 2, 2, 2};
-    const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
-    const FaultInjector injector(SerModel{}, SimExposurePolicy::full_duration);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(injector.run_campaign(graph, mapping, arch, levels,
-                                                       schedule, k_campaign_bench_trials,
-                                                       7));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(k_campaign_bench_trials));
-}
-BENCHMARK(bm_campaign_serial)->Arg(11)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void bm_campaign_sharded(benchmark::State& state) {
     const TaskGraph graph = benchmark_graph(state.range(0));
@@ -463,8 +428,6 @@ void bm_campaign_sharded(benchmark::State& state) {
     config.shard_size = 128;
     config.num_threads = 0; // hardware
     config.seed = 7;
-    // Register-file site only: the identical draw sequence the serial
-    // campaign runs, so items/s compare like for like.
     config.weights.pipeline = 0.0;
     config.weights.memory = 0.0;
     const CampaignEngine engine(SerModel{}, config);

@@ -1,17 +1,18 @@
-// Fault-injection campaign on a chosen MPEG-2 decoder design — the
+// Fault-injection campaigns on a chosen MPEG-2 decoder design — the
 // measurement half of the paper's methodology (Section II-B): SEUs
-// arrive as a Poisson process over the live register space; the
-// campaign reports per-trial statistics, the analytic expectation they
-// fluctuate around, and where the hits land (per core and per
-// register). The design under test comes from the public API: a
-// Problem plus a registry search strategy.
+// arrive as a Poisson process over the live register space. The design
+// under test comes from the public API: a Problem plus a registry
+// search strategy.
 //
-// The sharded engine (sim/campaign.h) then scales the same process to
-// large trial counts across differentiated fault sites (register file
-// / pipeline / memory residency) with per-task, per-core and per-site
-// attribution — and validates the analytic Γ of eq. (3) against the
-// campaign's own 95% confidence interval. Results are byte-identical
-// for every thread count and shard size.
+// Both campaigns run on the sharded engine (sim/campaign.h). The first
+// injects into the register file only (pipeline and memory weights 0),
+// which is the process eq. (3) models: it reports per-trial statistics,
+// the analytic expectation they fluctuate around and the hits per core.
+// The second runs 40x the trials across differentiated fault sites
+// (register file / pipeline / memory residency) with per-site and
+// per-task attribution, and validates the analytic Γ of eq. (3)
+// against the campaign's own 95% confidence interval. Results are
+// byte-identical for every thread count and shard size.
 //
 // Usage: fault_injection_campaign [trials] [seed] [policy] [threads]
 //   policy: full (default) | busy | task
@@ -20,7 +21,6 @@
 
 #include "core/initial_mapping.h"
 #include "sim/campaign.h"
-#include "sim/fault_injection.h"
 #include "taskgraph/mpeg2.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -74,63 +74,43 @@ int main(int argc, char** argv) {
               << ", SER 1e-9 SEU/bit/cycle at (1 V, 200 MHz)\n";
     std::cout << "trials  : " << trials << " (seed " << seed << ")\n\n";
 
-    // Aggregate campaign.
-    const FaultInjector injector(problem.ser_model(), policy);
-    const auto campaign =
-        injector.run_campaign(graph, mapping, arch, levels, schedule, trials, seed);
-    std::cout << "analytic Gamma (eq. 3): " << fmt_sci(campaign.analytic_gamma, 4) << '\n';
-    std::cout << "measured mean         : " << fmt_sci(campaign.seu_stats.mean(), 4)
-              << " +/- " << fmt_sci(campaign.seu_stats.ci95_halfwidth(), 2)
-              << " (95% CI)\n";
-    std::cout << "measured stdev        : " << fmt_sci(campaign.seu_stats.stdev(), 4)
-              << "  (Poisson predicts " << fmt_sci(std::sqrt(campaign.analytic_gamma), 4)
-              << ")\n";
-    std::cout << "min / max trial       : " << campaign.seu_stats.min() << " / "
-              << campaign.seu_stats.max() << "\n\n";
-
-    // One located trial for the breakdown tables.
-    const FaultInjector located(problem.ser_model(), policy, /*sample_locations=*/true);
-    Rng rng(seed);
-    const InjectionResult hits =
-        located.inject(graph, mapping, arch, levels, schedule, rng);
-
-    TableWriter per_core({"core", "scaling", "Vdd (V)", "register bits", "SEU hits"});
-    const auto bits = per_core_register_bits(graph, mapping, arch.core_count());
-    for (std::size_t c = 0; c < arch.core_count(); ++c)
-        per_core.add_row({std::to_string(c), std::to_string(levels[c]),
-                          fmt_double(arch.scaling_table().vdd(levels[c]), 2),
-                          fmt_grouped(bits[c]), fmt_grouped(hits.per_core[c])});
-    per_core.print_text(std::cout);
-
-    std::cout << "\ntop registers by hits (one trial):\n";
-    std::vector<RegisterId> order(graph.register_file().size());
-    for (RegisterId r = 0; r < order.size(); ++r) order[r] = r;
-    std::sort(order.begin(), order.end(), [&](RegisterId a, RegisterId b) {
-        return hits.per_register[a] > hits.per_register[b];
-    });
-    TableWriter per_reg({"register", "bits", "hits"});
-    for (std::size_t i = 0; i < std::min<std::size_t>(8, order.size()); ++i) {
-        const RegisterId r = order[i];
-        per_reg.add_row({graph.register_file().name(r),
-                         fmt_grouped(graph.register_file().bits(r)),
-                         fmt_grouped(hits.per_register[r])});
-    }
-    per_reg.print_text(std::cout);
-
-    // Sharded campaign across differentiated fault sites, at 40x the
-    // serial trial count: per-site statistics plus per-task/per-core
-    // attribution, byte-identical for any thread count / shard size.
+    // Register-file campaign: the eq. (3) exposure profile alone.
     CampaignConfig config;
-    config.trials = trials * 40;
+    config.trials = trials;
     config.shard_size = 1024;
     config.num_threads = static_cast<std::size_t>(threads);
     config.seed = seed;
     config.policy = policy;
+    config.weights.pipeline = 0.0;
+    config.weights.memory = 0.0;
+    const CampaignReport campaign =
+        CampaignEngine(problem.ser_model(), config).run(graph, mapping, arch, levels, schedule);
+    const ExactMoments& seus = campaign.total_stats;
+    std::cout << "analytic Gamma (eq. 3): " << fmt_sci(campaign.analytic_gamma, 4) << '\n';
+    std::cout << "measured mean         : " << fmt_sci(seus.mean(), 4) << " +/- "
+              << fmt_sci(seus.ci95_halfwidth(), 2) << " (95% CI)\n";
+    std::cout << "measured stdev        : " << fmt_sci(seus.stdev(), 4)
+              << "  (Poisson predicts " << fmt_sci(std::sqrt(campaign.analytic_gamma), 4)
+              << ")\n";
+    std::cout << "min / max trial       : " << seus.min() << " / " << seus.max() << "\n\n";
+
+    TableWriter per_core({"core", "scaling", "Vdd (V)", "register bits", "hits (all trials)"});
+    const auto bits = per_core_register_bits(graph, mapping, arch.core_count());
+    for (std::size_t c = 0; c < arch.core_count(); ++c)
+        per_core.add_row({std::to_string(c), std::to_string(levels[c]),
+                          fmt_double(arch.scaling_table().vdd(levels[c]), 2),
+                          fmt_grouped(bits[c]), fmt_grouped(campaign.hits_per_core[c])});
+    per_core.print_text(std::cout);
+
+    // Differentiated fault sites at 40x the trials: per-site statistics
+    // plus per-task/per-core attribution.
+    config.trials = trials * 40;
+    config.weights = FaultSiteWeights{};
     const CampaignEngine engine(problem.ser_model(), config);
     const CampaignReport report =
         engine.run(graph, mapping, arch, levels, schedule);
 
-    std::cout << "\nsharded campaign      : " << report.trials << " trials in "
+    std::cout << "\nall-site campaign     : " << report.trials << " trials in "
               << report.shards << " shards of " << report.shard_size << '\n';
     std::cout << "weighted analytic     : " << fmt_sci(report.analytic_gamma, 4)
               << "  measured " << fmt_sci(report.total_stats.mean(), 4) << " +/- "

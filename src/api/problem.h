@@ -2,7 +2,7 @@
 // needs as *input*, bundled into one immutable, cheaply copyable value.
 // A Problem is the stable contract between workload producers (CLI,
 // services, tests) and interchangeable analysis engines (the search
-// strategies of api/strategy.h, the fault injector, future backends) —
+// strategies of api/strategy.h, the campaign engine, future backends) —
 // the same problem/engine separation frameworks like CFA and OpenSEA
 // use for fault analysis.
 //

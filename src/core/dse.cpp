@@ -262,9 +262,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     // thread-count invariance is untouched; only the
                     // immutable plan is shared.
                     EvalContext eval(plan, ctx, params.eval);
-                    Mapping initial = params.use_initial_sea_mapping
-                                          ? initial_sea_mapping(ctx)
-                                          : round_robin_mapping(graph, arch.core_count());
+                    const Mapping initial = initial_sea_mapping(ctx);
                     // Vary the search seed per scaling so repeated
                     // scalings do not replay the same random walk;
                     // start 0 keeps the historic derivation so

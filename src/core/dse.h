@@ -74,9 +74,6 @@ struct DseParams {
     /// Overall wall-clock budget, seconds (0 = none): the paper's
     /// "chosen search-time".
     double total_time_budget_seconds = 0.0;
-    /// Start stage 2 from the stage-1 greedy mapping (Fig. 6). Off =
-    /// ablation: start from a round-robin mapping instead.
-    bool use_initial_sea_mapping = true;
     /// Worker threads for the per-scaling mapping searches (each
     /// scaling is an independent search with its own derived seed).
     /// 1 = serial; 0 = one per hardware thread, clamped to

@@ -154,7 +154,9 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     h.mix(s.restarts);
     h.mix(s.seed);
     h.mix(static_cast<std::uint64_t>(s.track_min_power));
-    h.mix(static_cast<std::uint64_t>(params.use_initial_sea_mapping));
+    // Former knobs, now constants, keep their slots so snapshot hashes
+    // stay stable: stage 2 always starts from the Fig. 6 greedy mapping.
+    h.mix(std::uint64_t{1});
     h.mix_double(k_power_tie_tolerance);
     h.mix(static_cast<std::uint64_t>(params.prune));
     h.mix(std::max<std::size_t>(1, params.multi_start));

@@ -57,23 +57,13 @@ std::uint64_t rank_with_counts(const ScalingVector& levels, std::size_t level_co
 LazyScalingQueue::LazyScalingQueue(const TaskGraph& graph, const MpsocArchitecture& arch,
                                    double deadline_seconds, const ScalingBoundsModel* bounds,
                                    std::uint64_t successor_shuffle_seed)
-    : graph_(graph), arch_(arch), deadline_seconds_(deadline_seconds), bounds_(bounds),
-      shuffle_seed_(successor_shuffle_seed) {
+    : arch_(arch), deadline_seconds_(deadline_seconds), bounds_(bounds),
+      shuffle_seed_(successor_shuffle_seed), tm_bound_(graph) {
     const std::size_t cores = arch.core_count();
     const std::size_t levels = arch.scaling_table().level_count();
     counts_ = multiset_counts(cores, levels);
     total_ = ScalingEnumerator::combination_count(cores, levels);
     visited_.assign((total_ + 63) / 64, 0);
-
-    // Aggregates for the hoisted T_M gate — the exact inputs
-    // tm_lower_bound_seconds computes per call.
-    batches_ = static_cast<double>(graph.batch_count());
-    critical_path_cycles_ = static_cast<double>(graph.critical_path_cycles(false));
-    total_exec_cycles_ = static_cast<double>(graph.total_exec_cycles());
-    std::uint64_t biggest_task = 0;
-    for (TaskId t = 0; t < graph.task_count(); ++t)
-        biggest_task = std::max(biggest_task, graph.task(t).exec_cycles);
-    biggest_task_cycles_ = static_cast<double>(biggest_task);
 
     ScalingVector root(cores, static_cast<ScalingLevel>(levels));
     arch.validate_scaling(root);
@@ -114,20 +104,10 @@ bool LazyScalingQueue::visit(std::uint64_t rank) {
 void LazyScalingQueue::generate(ScalingVector levels) {
     Node node;
     node.rank = rank_of_tabled(levels);
-    // Same accumulation loop as tm_lower_bound_seconds (max and sum in
-    // core order) so the gate verdict is bit-identical to the per-call
-    // form the materialized sweep evaluated.
-    double fastest = 0.0;
-    double total_rate = 0.0;
-    for (std::size_t c = 0; c < levels.size(); ++c) {
-        const double f = arch_.frequency_hz(levels[c]);
-        fastest = std::max(fastest, f);
-        total_rate += f;
-    }
-    node.gate_passed =
-        tm_lower_bound_from_aggregates(critical_path_cycles_, total_exec_cycles_,
-                                       biggest_task_cycles_, batches_, fastest, total_rate) <=
-        deadline_seconds_ * (1.0 + 1e-9);
+    // The same bound tm_lower_bound_seconds evaluates, so the gate
+    // verdict is bit-identical to the per-call form the materialized
+    // sweep evaluated.
+    node.gate_passed = tm_bound_(arch_, levels) <= deadline_seconds_ * (1.0 + 1e-9);
     if (node.gate_passed && bounds_ != nullptr) {
         node.corner = bounds_->bounds_for(levels);
         node.sort_key = node.corner.power_mw_lb;

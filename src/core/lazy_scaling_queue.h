@@ -23,16 +23,17 @@
 // which is all the explorer's sequential replay needs.
 //
 // The T_M feasibility gate is evaluated here from graph aggregates
-// hoisted out of the per-combination loop (the same
-// tm_lower_bound_from_aggregates formula tm_lower_bound_seconds
-// evaluates, so gate decisions are bit-identical to the materialized
-// sweep) — gate-failed slots still pop (the explorer records them as
-// skipped) and still expand, but skip the bound computation entirely.
+// hoisted out of the per-combination loop (the same TmLowerBound
+// tm_lower_bound_seconds evaluates, so gate decisions are
+// bit-identical to the materialized sweep) — gate-failed slots still
+// pop (the explorer records them as skipped) and still expand, but
+// skip the bound computation entirely.
 #pragma once
 
 #include "arch/mpsoc.h"
 #include "arch/scaling_enumerator.h"
 #include "core/scaling_bounds.h"
+#include "sched/list_scheduler.h"
 #include "taskgraph/task_graph.h"
 #include "util/float_compare.h"
 
@@ -104,7 +105,7 @@ public:
         ScalingBounds corner;
     };
 
-    /// `graph` and `arch` must outlive the queue; `bounds` may be null
+    /// `arch` must outlive the queue; `bounds` may be null
     /// (no keys — pops follow the exact enumeration order).
     /// `successor_shuffle_seed` perturbs the order successors are
     /// *pushed* (never the pop order, which the dedup + strict
@@ -158,17 +159,13 @@ private:
     void generate(ScalingVector levels);
     bool visit(std::uint64_t rank);
 
-    const TaskGraph& graph_;
     const MpsocArchitecture& arch_;
     double deadline_seconds_;
     const ScalingBoundsModel* bounds_;
     std::uint64_t shuffle_seed_;
 
-    // Graph aggregates hoisted out of the per-combination T_M gate.
-    double batches_ = 1.0;
-    double critical_path_cycles_ = 0.0;
-    double total_exec_cycles_ = 0.0;
-    double biggest_task_cycles_ = 0.0;
+    // The per-combination T_M gate, graph aggregates hoisted.
+    TmLowerBound tm_bound_;
 
     // Multiset-count table: counts_[m * (L + 1) + w] = number of
     // non-increasing tuples of length m over values [1..w], the

@@ -24,11 +24,7 @@ constexpr double k_bound_shave = 1.0 - 1e-9;
 ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchitecture& arch,
                                        double deadline_seconds, const SerModel& ser,
                                        ExposurePolicy policy)
-    : graph_(graph), arch_(arch), deadline_seconds_(deadline_seconds), policy_(policy) {
-    batches_ = static_cast<double>(graph.batch_count());
-    critical_path_cycles_ = static_cast<double>(graph.critical_path_cycles(false));
-    total_exec_cycles_ = static_cast<double>(graph.total_exec_cycles());
-
+    : arch_(arch), deadline_seconds_(deadline_seconds), policy_(policy), tm_bound_(graph) {
     std::vector<TaskId> all_tasks(graph.task_count());
     std::iota(all_tasks.begin(), all_tasks.end(), TaskId{0});
     union_bits_all_ = graph.union_register_bits(all_tasks);
@@ -37,7 +33,6 @@ ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchit
         const std::uint64_t task_bits = graph.task_register_bits(t);
         const double exec = static_cast<double>(graph.task(t).exec_cycles);
         min_task_bits_ = std::min(min_task_bits_, task_bits);
-        biggest_task_cycles_ = std::max(biggest_task_cycles_, exec);
         bits_times_cycles_ += static_cast<double>(task_bits) * exec;
         if (task_bits == 0) cycles_without_registers_ += exec;
     }
@@ -116,10 +111,11 @@ ScalingBounds ScalingBoundsModel::case_bounds(
         rate_sum += static_cast<double>(n) * frequency_hz_[l];
     }
     double cap_seconds = deadline * k_deadline_slack;
-    if (batches_ > 1.0) {
-        const double latency_min = critical_path_cycles_ / batches_ / fmax;
+    const double batches = tm_bound_.batches;
+    if (batches > 1.0) {
+        const double latency_min = tm_bound_.critical_path_cycles / batches / fmax;
         const double pipelined =
-            batches_ / (batches_ - 1.0) * (deadline - latency_min) * k_deadline_slack;
+            batches / (batches - 1.0) * (deadline - latency_min) * k_deadline_slack;
         cap_seconds = std::clamp(pipelined, 0.0, cap_seconds);
     }
 
@@ -134,7 +130,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
                            static_cast<double>(n) * frequency_hz_[l] * cap_seconds);
     }
     std::sort(fills.begin(), fills.end());
-    double remaining = total_exec_cycles_;
+    double remaining = tm_bound_.total_exec_cycles;
     double busy_energy_mws = 0.0; // min sum_i P_a_i * busy_seconds_i
     for (const auto& [energy_per_cycle, cap] : fills) {
         if (remaining <= 0.0) break;
@@ -147,9 +143,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
 
     // --- T_M lower bound over the powered cores only (the gate's own
     // formula, restricted to the case: only powered cores do work) ----
-    const double tm_lb =
-        tm_lower_bound_from_aggregates(critical_path_cycles_, total_exec_cycles_,
-                                       biggest_task_cycles_, batches_, fmax, rate_sum);
+    const double tm_lb = tm_bound_(fmax, rate_sum);
 
     // --- gamma --------------------------------------------------------
     if (policy_ == ExposurePolicy::full_duration) {
@@ -166,7 +160,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
         double prefix_cap = 0.0;
         for (const auto& [lambda, cap] : tiers) {
             if (lambda > tier_lambda) {
-                const double overflow = total_exec_cycles_ - prefix_cap;
+                const double overflow = tm_bound_.total_exec_cycles - prefix_cap;
                 if (overflow <= 0.0) break;
                 const double forced_bits =
                     min_union_bits_covering(overflow - cycles_without_registers_);
@@ -201,7 +195,7 @@ std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
     const ScalingVector& levels) const {
     arch_.validate_scaling(levels);
     std::vector<ScalingBounds> cases;
-    if (total_exec_cycles_ <= 0.0 || deadline_seconds_ <= 0.0) return cases;
+    if (tm_bound_.total_exec_cycles <= 0.0 || deadline_seconds_ <= 0.0) return cases;
 
     // Distinct levels and their multiplicities; cores at one level are
     // interchangeable, so a powered-core case is a count per level.
@@ -246,7 +240,7 @@ std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
         // leaving `remaining` work unplaced proves the same thing, so
         // filter on the rough capacity only (cheap and sound both
         // ways: extra cases only make the pruning test stricter).
-        if (rough_cap < total_exec_cycles_) continue;
+        if (rough_cap < tm_bound_.total_exec_cycles) continue;
         cases.push_back(case_bounds(powered));
     }
     return cases;

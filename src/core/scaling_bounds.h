@@ -58,6 +58,7 @@
 #include "arch/scaling_enumerator.h"
 #include "reliability/ser_model.h"
 #include "reliability/seu_estimator.h"
+#include "sched/list_scheduler.h"
 #include "taskgraph/task_graph.h"
 
 #include <cstdint>
@@ -76,7 +77,7 @@ struct ScalingBounds {
 /// problem; graph-level aggregates are computed once at construction.
 class ScalingBoundsModel {
 public:
-    /// `graph` and `arch` must outlive the model.
+    /// `arch` must outlive the model.
     ScalingBoundsModel(const TaskGraph& graph, const MpsocArchitecture& arch,
                        double deadline_seconds, const SerModel& ser, ExposurePolicy policy);
 
@@ -109,16 +110,12 @@ private:
     /// sorted by bits-per-covered-cycle; piecewise linear, monotone.
     double min_union_bits_covering(double cycles) const;
 
-    const TaskGraph& graph_;
     const MpsocArchitecture& arch_;
     double deadline_seconds_;
     ExposurePolicy policy_;
 
     // Graph aggregates (whole-run cycle totals, bits).
-    double batches_ = 1.0;
-    double critical_path_cycles_ = 0.0; ///< whole-run, no communication
-    double biggest_task_cycles_ = 0.0;  ///< whole-run, single task
-    double total_exec_cycles_ = 0.0;
+    TmLowerBound tm_bound_;
     std::uint64_t union_bits_all_ = 0;   ///< |union of every task's set|
     std::uint64_t min_task_bits_ = 0;    ///< smallest single-task set
     double bits_times_cycles_ = 0.0;     ///< sum_t bits_t * exec_cycles_t

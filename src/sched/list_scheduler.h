@@ -142,14 +142,26 @@ double tm_estimate_eq6_seconds(const TaskGraph& graph, const Mapping& mapping,
 double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& arch,
                               const ScalingVector& levels);
 
-/// The same bound from pre-aggregated scalars — one formula shared by
-/// the feasibility gate above and the branch-and-bound bounds
+/// The same bound with its graph aggregates computed once: one formula
+/// shared by the feasibility gate (tm_lower_bound_seconds and the lazy
+/// scaling queue) and the branch-and-bound bounds
 /// (core/scaling_bounds.cpp evaluates it per powered-core case, where
 /// only the chosen cores' rates count), so gate and bound model can
-/// never drift apart. Cycle quantities are whole-run totals; rates in
-/// Hz. `fastest_hz` / `total_rate_hz` must be positive.
-double tm_lower_bound_from_aggregates(double critical_path_cycles, double total_exec_cycles,
-                                      double biggest_task_cycles, double batches,
-                                      double fastest_hz, double total_rate_hz);
+/// never drift apart.
+struct TmLowerBound {
+    explicit TmLowerBound(const TaskGraph& graph);
+
+    /// The bound for cores whose fastest clock is `fastest_hz` and whose
+    /// clocks sum to `total_rate_hz`; both must be positive.
+    double operator()(double fastest_hz, double total_rate_hz) const;
+    /// The bound with every core of `arch` powered at `levels`.
+    double operator()(const MpsocArchitecture& arch, const ScalingVector& levels) const;
+
+    // Whole-run cycle totals.
+    double batches = 1.0;
+    double critical_path_cycles = 0.0; ///< no communication
+    double total_exec_cycles = 0.0;
+    double biggest_task_cycles = 0.0;  ///< single task
+};
 
 } // namespace seamap

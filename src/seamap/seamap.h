@@ -11,9 +11,10 @@
 //   DseCheckpointer            (core/dse_checkpoint.h, via api/explore.h)
 //                                                crash-safe resume
 //
-// Workload builders (taskgraph/, tgff/) and the fault injector (sim/)
-// keep their own headers; the core types they produce/consume
-// (TaskGraph, MpsocArchitecture, DseResult, ...) arrive transitively.
+// Workload builders (taskgraph/, tgff/) and the fault-injection
+// campaign engine (sim/campaign.h) keep their own headers; the core
+// types they produce/consume (TaskGraph, MpsocArchitecture, DseResult,
+// ...) arrive transitively.
 #pragma once
 
 #include "seamap/version.h" // arch-check: export

@@ -1,9 +1,11 @@
-// Sharded fault-injection campaign engine — the measurement-side
-// counterpart of the analytic Γ model (eq. 3) at statistically
-// meaningful trial counts. Trials are cut into fixed-size blocks
-// (shards) dispatched on the project thread pool; trial t always draws
-// from the order-invariant stream Rng(seed).fork_at(t) and each shard
-// fills its own CampaignTally of exact integer moments (util/stats.h
+// The fault-injection engine — the measurement-side counterpart of the
+// analytic Γ model (eq. 3) at statistically meaningful trial counts.
+// `seamap_cli inject` runs it with the pipeline and memory weights at
+// 0, a register-file-only campaign; `seamap_cli campaign` runs every
+// site. Trials are cut into fixed-size blocks (shards) dispatched on
+// the project thread pool; trial t always draws from the
+// order-invariant stream Rng(seed).fork_at(t) and each shard fills its
+// own CampaignTally of exact integer moments (util/stats.h
 // ExactMoments). run() builds the report by one fold: the tally
 // restored from a checkpoint, if any, plus the live shards in shard
 // order. Exact merges make that fold order-free, so the report is
@@ -15,9 +17,10 @@
 // pipeline vs memory residency):
 //
 //  - register_file: the exposure profile of sim/exposure.h (live
-//    register bits under the configured policy) — weight 1 reproduces
-//    the analytic Γ of eq. (3) exactly in expectation, which is the
-//    campaign's validation surface against SeuEstimator;
+//    register bits under the configured policy), one Poisson draw per
+//    profile interval — weight 1 reproduces the analytic Γ of eq. (3)
+//    exactly in expectation, which is the campaign's validation
+//    surface against SeuEstimator;
 //  - pipeline: per-task latch exposure — `pipeline_bits` of pipeline
 //    state are vulnerable on a core exactly while it executes a task,
 //    attributed to that task;

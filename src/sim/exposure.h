@@ -1,8 +1,9 @@
 // Exposure profiles: how many live register bits each core holds, and
 // for how long. This is the bridge between a scheduled design and the
-// fault-injection engine — SEUs arrive as a Poisson process whose
-// intensity is (live bits) x (SER per bit-second), integrated over the
-// profile.
+// campaign engine's register-file site (sim/campaign.h) — SEUs arrive
+// as a Poisson process whose intensity is (live bits) x (SER per
+// bit-second), integrated over the profile, so expected_seus() is the
+// expectation of a register-file-only campaign.
 //
 // The three policies mirror the modelling choices discussed in
 // reliability/seu_estimator.h:

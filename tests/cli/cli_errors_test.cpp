@@ -148,6 +148,36 @@ TEST_F(CliErrorsTest, NoFeasibleDesignExitsOne) {
     expect_contains(json.out, "\"best\": null");
 }
 
+TEST_F(CliErrorsTest, InjectJsonIsThreadInvariantWithDocumentedKeys) {
+    const std::string opts = " --cores 3 --iterations 400 --trials 300 --seed 7 --json";
+    const RunResult serial = run("inject " + fig8_path() + opts + " --threads 1");
+    ASSERT_EQ(serial.status, 0) << serial.err;
+    for (const char* key : {"\"seamap_version\"", "\"strategy\": \"optimized\"",
+                            "\"trials\": 300", "\"seed\": 7", "\"design\": {", "\"seu\": {",
+                            "\"analytic_gamma\"", "\"mean\"", "\"ci95_halfwidth\"",
+                            "\"stdev\"", "\"min\"", "\"max\""})
+        expect_contains(serial.out, key);
+
+    const RunResult threaded = run("inject " + fig8_path() + opts + " --threads 4");
+    EXPECT_EQ(threaded.status, 0) << threaded.err;
+    EXPECT_EQ(threaded.out, serial.out);
+}
+
+TEST_F(CliErrorsTest, InjectWithoutFeasibleDesignExitsOneWithNullDesign) {
+    const RunResult r =
+        run("inject " + fig8_path() + " --cores 2 --deadline 1e-9 --trials 50 --json");
+    EXPECT_EQ(r.status, 1);
+    expect_contains(r.out, "\"design\": null");
+    EXPECT_EQ(r.out.find("\"seu\""), std::string::npos) << r.out;
+}
+
+TEST_F(CliErrorsTest, InjectZeroTrialsIsInvalidArgument) {
+    const RunResult r = run("inject " + fig8_path() + " --cores 3 --trials 0 --json");
+    EXPECT_EQ(r.status, 2);
+    expect_contains(r.out, "\"code\": \"invalid_argument\"");
+    expect_contains(r.err, "error: ");
+}
+
 TEST_F(CliErrorsTest, ResumeWithoutCheckpointIsUsageError) {
     const RunResult r = run("optimize " + fig8_path() + " --cores 2 --resume --json");
     EXPECT_EQ(r.status, 2);

@@ -103,13 +103,6 @@ TEST(Dse, ParetoFrontIsNonDominatedAndSorted) {
         }
 }
 
-TEST(Dse, RoundRobinSeedAblationStillWorks) {
-    ExploreOptions options = quick_options();
-    options.dse.use_initial_sea_mapping = false;
-    const DseResult result = explore(problem_for(fig8_example_graph(), 3, 1.0), options);
-    EXPECT_TRUE(result.best.has_value());
-}
-
 TEST(Dse, TimeBudgetLimitsWork) {
     ExploreOptions options = quick_options(200'000); // enormous per-scaling budget
     options.dse.search.time_budget_seconds = 0.02;

@@ -1,11 +1,11 @@
 // Property-based invariants tying the reliability stack together:
-// analytic Gamma (eq. 3) == expected value of the Poisson injector,
+// analytic Gamma (eq. 3) == expected value of the register-file campaign,
 // register-usage monotonicity, and the Section III trade-off existing
 // on real workloads.
 #include "core/initial_mapping.h"
 #include "reliability/design_eval.h"
 #include "reliability/register_usage.h"
-#include "sim/fault_injection.h"
+#include "sim/campaign.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 #include "util/rng.h"
@@ -43,9 +43,14 @@ TEST_P(ReliabilityProperties, AnalyticGammaEqualsInjectorExpectation) {
         const SeuEstimator estimator{SerModel{}, policy};
         const double analytic =
             estimator.estimate(graph, mapping, arch, levels, schedule).total;
-        const FaultInjector injector(SerModel{}, to_sim_policy(policy));
-        const auto campaign =
-            injector.run_campaign(graph, mapping, arch, levels, schedule, 1, seed);
+        CampaignConfig config;
+        config.trials = 1;
+        config.seed = seed;
+        config.policy = to_sim_policy(policy);
+        config.weights.pipeline = 0.0;
+        config.weights.memory = 0.0;
+        const CampaignReport campaign =
+            CampaignEngine(SerModel{}, config).run(graph, mapping, arch, levels, schedule);
         // The campaign's analytic reference must equal the estimator's
         // value bit-for-bit in double precision terms.
         EXPECT_NEAR(campaign.analytic_gamma, analytic, analytic * 1e-9);

@@ -1,11 +1,12 @@
 #include "sim/campaign.h"
 
 #include "api/json.h"
+#include "reliability/register_usage.h"
 #include "reliability/seu_estimator.h"
-#include "sim/fault_injection.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
+#include "util/rng.h"
 
 #include <gtest/gtest.h>
 
@@ -71,6 +72,51 @@ std::string measurement_bytes(const CampaignReport& report) {
     doc["shard_size"] = 0;
     doc["shards"] = 0;
     return doc.dump();
+}
+
+/// The configuration `seamap_cli inject` runs: the register-file site
+/// alone, whose expectation is the analytic Gamma of eq. (3).
+CampaignConfig register_file_only(std::uint64_t trials, std::uint64_t seed) {
+    CampaignConfig config;
+    config.trials = trials;
+    config.seed = seed;
+    config.weights.pipeline = 0.0;
+    config.weights.memory = 0.0;
+    return config;
+}
+
+/// Per-trial totals and per-core hits of a register-file campaign,
+/// written as the plain serial loop: trial t draws from
+/// Rng(seed).fork_at(t), one Poisson count per exposure interval with
+/// mean bits x duration x SER rate.
+struct SerialReference {
+    ExactMoments totals;
+    std::vector<std::uint64_t> per_core;
+};
+
+SerialReference serial_register_file_loop(const Scenario& s, const SerModel& ser,
+                                          const CampaignConfig& config) {
+    const RegisterFile& regs = s.graph.register_file();
+    const auto profile =
+        build_exposure_profile(s.graph, s.mapping, s.arch, s.schedule, config.policy);
+    SerialReference reference;
+    reference.per_core.assign(s.arch.core_count(), 0);
+    const Rng root(config.seed);
+    for (std::uint64_t trial = 0; trial < config.trials; ++trial) {
+        Rng stream = root.fork_at(trial);
+        std::uint64_t total = 0;
+        for (const ExposureInterval& interval : profile) {
+            const double rate = ser.ser_per_bit_second(
+                s.arch.scaling_table().vdd(s.levels[interval.core]));
+            const std::uint64_t hits =
+                stream.poisson(static_cast<double>(interval.live.bits_in(regs)) *
+                               interval.duration_seconds * rate);
+            reference.per_core[interval.core] += hits;
+            total += hits;
+        }
+        reference.totals.add(total);
+    }
+    return reference;
 }
 
 TEST(CampaignEngine, ReportAccountingAndAttributionAreConsistent) {
@@ -141,47 +187,31 @@ TEST(CampaignEngine, ByteIdenticalAcrossShardSizes) {
 }
 
 TEST(CampaignEngine, RegisterFileSiteReplaysTheSerialCampaignExactly) {
-    // With pipeline/memory weights at zero, the engine's per-trial draw
-    // sequence is identical to FaultInjector::inject_profile on the
-    // eq. (3) exposure profile with the same fork_at streams — pinning
-    // both the rate-table hoist and the fork_at migration bit-exactly.
+    // With pipeline/memory weights at zero the engine replays the serial
+    // loop bit-exactly: a zero Poisson mean draws nothing and x * 1.0 == x.
     const Scenario s = fig8_scenario();
-    CampaignConfig config;
-    config.trials = 250;
+    CampaignConfig config = register_file_only(250, 77);
     config.shard_size = 32;
-    config.seed = 77;
-    config.weights.pipeline = 0.0;
-    config.weights.memory = 0.0;
     const CampaignReport report = run_with(s, config);
 
-    const FaultInjector injector(SerModel{}, SimExposurePolicy::full_duration);
-    const auto profile =
-        build_exposure_profile(s.graph, s.mapping, s.arch, s.schedule, config.policy);
-    ExactMoments reference;
-    const Rng root(config.seed);
-    for (std::uint64_t trial = 0; trial < config.trials; ++trial) {
-        Rng stream = root.fork_at(trial);
-        reference.add(
-            injector.inject_profile(profile, s.graph, s.arch, s.levels, stream).total_seus);
-    }
+    const SerialReference reference = serial_register_file_loop(s, SerModel{}, config);
     const ExactMoments& measured = report.site(FaultSite::register_file).stats;
-    EXPECT_EQ(measured.count(), reference.count());
-    EXPECT_EQ(measured.sum(), reference.sum());
-    EXPECT_EQ(measured.min(), reference.min());
-    EXPECT_EQ(measured.max(), reference.max());
-    EXPECT_DOUBLE_EQ(measured.mean(), reference.mean());
-    EXPECT_DOUBLE_EQ(measured.variance(), reference.variance());
+    EXPECT_EQ(measured.count(), reference.totals.count());
+    EXPECT_EQ(measured.sum(), reference.totals.sum());
+    EXPECT_EQ(measured.min(), reference.totals.min());
+    EXPECT_EQ(measured.max(), reference.totals.max());
+    EXPECT_DOUBLE_EQ(measured.mean(), reference.totals.mean());
+    EXPECT_DOUBLE_EQ(measured.variance(), reference.totals.variance());
+    EXPECT_EQ(report.hits_per_core, reference.per_core);
     // And the zero-weight sites collected nothing.
     EXPECT_EQ(report.site(FaultSite::pipeline).stats.sum(), 0u);
     EXPECT_EQ(report.site(FaultSite::memory).stats.sum(), 0u);
     EXPECT_EQ(report.total_stats.sum(), measured.sum());
-
-    // The legacy serial campaign now runs the same streams.
-    const auto summary = injector.run_campaign(s.graph, s.mapping, s.arch, s.levels,
-                                               s.schedule, config.trials, config.seed);
-    EXPECT_EQ(static_cast<std::uint64_t>(summary.seu_stats.min()), measured.min());
-    EXPECT_EQ(static_cast<std::uint64_t>(summary.seu_stats.max()), measured.max());
-    EXPECT_NEAR(summary.mean(), measured.mean(), 1e-9 * measured.mean());
+    // The headline expectation is eq. (3)'s profile sum, bit for bit.
+    const auto profile =
+        build_exposure_profile(s.graph, s.mapping, s.arch, s.schedule, config.policy);
+    EXPECT_EQ(report.analytic_gamma,
+              expected_seus(profile, s.graph, s.arch, s.levels, SerModel{}));
 }
 
 TEST(CampaignEngine, AnalyticGammaValidatedWithinCampaignCi) {
@@ -275,13 +305,7 @@ TEST(CampaignEngine, PipelineExpectationScalesWithLatchBits) {
 
 TEST(CampaignEngine, TaskAttributionComesOnlyFromTaskSites) {
     const Scenario s = fig8_scenario();
-    CampaignConfig config;
-    config.trials = 200;
-    config.seed = 3;
-    config.weights.register_file = 1.0;
-    config.weights.pipeline = 0.0;
-    config.weights.memory = 0.0;
-    const CampaignReport register_only = run_with(s, config);
+    const CampaignReport register_only = run_with(s, register_file_only(200, 3));
     const std::uint64_t task_sum =
         std::accumulate(register_only.hits_per_task.begin(),
                         register_only.hits_per_task.end(), std::uint64_t{0});
@@ -319,6 +343,126 @@ TEST(CampaignEngine, SmokeShardedCampaignAcrossScenarios) {
         EXPECT_GT(report.analytic_gamma, 0.0) << s.name;
         EXPECT_GT(report.total_stats.sum(), 0u) << s.name;
     }
+}
+
+// Register-file-only campaigns, the configuration `seamap_cli inject`
+// runs. The suite keeps the name of the serial injector these cases
+// were first written against, so their test IDs stay stable.
+
+TEST(FaultInjector, DeterministicGivenSeed) {
+    const Scenario s = fig8_scenario();
+    const CampaignReport a = run_with(s, register_file_only(1, 99));
+    const CampaignReport b = run_with(s, register_file_only(1, 99));
+    EXPECT_EQ(a.total_stats.sum(), b.total_stats.sum());
+    EXPECT_EQ(a.hits_per_core, b.hits_per_core);
+}
+
+TEST(FaultInjector, PerCoreSumsToTotal) {
+    const Scenario s = fig8_scenario();
+    const CampaignReport report = run_with(s, register_file_only(1, 7));
+    const std::uint64_t sum = std::accumulate(report.hits_per_core.begin(),
+                                              report.hits_per_core.end(), std::uint64_t{0});
+    EXPECT_EQ(sum, report.total_stats.sum());
+}
+
+TEST(FaultInjector, WiderRegistersCollectMoreHits) {
+    // Cores 1 and 2 run at the same scaling and, under full_duration,
+    // are exposed for the same T_M: the one holding the wider register
+    // union must collect more hits over many trials.
+    Scenario s = fig8_scenario();
+    ASSERT_EQ(s.levels[1], s.levels[2]);
+    s.mapping = Mapping(s.graph.task_count(), s.arch.core_count());
+    for (TaskId t = 0; t < s.graph.task_count(); ++t)
+        s.mapping.assign(t, t == 0 ? 0 : t + 1 < s.graph.task_count() ? 1 : 2);
+    s.schedule = ListScheduler{}.schedule(s.graph, s.mapping, s.arch, s.levels);
+    const auto bits = per_core_register_bits(s.graph, s.mapping, s.arch.core_count());
+    ASSERT_NE(bits[1], bits[2]);
+    const std::size_t wide = bits[1] > bits[2] ? 1 : 2;
+    const std::size_t narrow = 3 - wide;
+    const CampaignReport report = run_with(s, register_file_only(200, 13));
+    EXPECT_GT(report.hits_per_core[wide], report.hits_per_core[narrow]);
+}
+
+TEST(FaultInjector, ZeroSerProducesNoSeus) {
+    const Scenario s = fig8_scenario();
+    SerParams params;
+    params.ser_ref_per_bit_cycle = 0.0;
+    const CampaignEngine engine(SerModel{params}, register_file_only(5, 5));
+    const CampaignReport report = engine.run(s.graph, s.mapping, s.arch, s.levels, s.schedule);
+    EXPECT_EQ(report.total_stats.sum(), 0u);
+    EXPECT_EQ(report.analytic_gamma, 0.0);
+}
+
+TEST(FaultInjector, CampaignMeanMatchesAnalyticGamma) {
+    const Scenario s = fig8_scenario();
+    const CampaignReport report = run_with(s, register_file_only(300, 12345));
+    ASSERT_EQ(report.trials, 300u);
+    ASSERT_GT(report.analytic_gamma, 10.0); // enough signal for the test
+    // Poisson: stderr of the mean is sqrt(Gamma / trials).
+    const double stderr_mean = std::sqrt(report.analytic_gamma / 300.0);
+    EXPECT_NEAR(report.total_stats.mean(), report.analytic_gamma, 5.0 * stderr_mean);
+    // Poisson variance equals the mean.
+    EXPECT_NEAR(report.total_stats.variance(), report.analytic_gamma,
+                report.analytic_gamma * 0.35);
+}
+
+TEST(FaultInjector, CampaignMatchesAnalyticUnderBusyOnlyPolicy) {
+    const Scenario s = fig8_scenario();
+    CampaignConfig config = register_file_only(300, 777);
+    config.policy = SimExposurePolicy::busy_only;
+    const CampaignReport report = run_with(s, config);
+    const SeuEstimator estimator{SerModel{}, ExposurePolicy::busy_only};
+    const double analytic =
+        estimator.estimate(s.graph, s.mapping, s.arch, s.levels, s.schedule).total;
+    EXPECT_NEAR(report.analytic_gamma, analytic, analytic * 1e-12);
+    const double stderr_mean = std::sqrt(analytic / 300.0);
+    EXPECT_NEAR(report.total_stats.mean(), analytic, 5.0 * stderr_mean);
+}
+
+TEST(FaultInjector, CampaignIsDeterministicGivenSeed) {
+    const Scenario s = fig8_scenario();
+    CampaignConfig config = register_file_only(50, 42);
+    const std::string serial = measurement_bytes(run_with(s, config));
+    config.num_threads = 4;
+    config.shard_size = 8;
+    EXPECT_EQ(measurement_bytes(run_with(s, config)), serial);
+}
+
+TEST(FaultInjector, ZeroTrialCampaignThrows) {
+    EXPECT_THROW((CampaignEngine{SerModel{}, register_file_only(0, 1)}),
+                 std::invalid_argument);
+}
+
+TEST(FaultInjector, CampaignSummarySurfacesHeadlineStatistics) {
+    // `inject` reports mean / stdev / 95% CI straight from the per-trial
+    // totals; the CI half-width is 1.96 standard errors of the mean.
+    const Scenario s = fig8_scenario();
+    const CampaignReport report = run_with(s, register_file_only(120, 9));
+    const ExactMoments& seus = report.total_stats;
+    EXPECT_EQ(seus.count(), 120u);
+    EXPECT_DOUBLE_EQ(seus.stdev(), std::sqrt(seus.variance()));
+    EXPECT_GT(seus.ci95_halfwidth(), 0.0);
+    EXPECT_NEAR(seus.ci95_halfwidth(), 1.959964 * seus.stderr_mean(), 1e-12);
+    EXPECT_LE(seus.min(), seus.max());
+}
+
+TEST(FaultInjector, CampaignPinnedToForkAtReferenceLoop) {
+    // The serial loop pins every policy's profile, not only the union
+    // one: running_task draws one interval per task, here sharded
+    // unevenly over two threads.
+    const Scenario s = mpeg2_scenario();
+    CampaignConfig config = register_file_only(80, 314);
+    config.policy = SimExposurePolicy::running_task;
+    config.shard_size = 7;
+    config.num_threads = 2;
+    const CampaignReport report = run_with(s, config);
+    const SerialReference reference = serial_register_file_loop(s, SerModel{}, config);
+    EXPECT_EQ(report.total_stats.count(), reference.totals.count());
+    EXPECT_EQ(report.total_stats.sum(), reference.totals.sum());
+    EXPECT_EQ(report.total_stats.min(), reference.totals.min());
+    EXPECT_EQ(report.total_stats.max(), reference.totals.max());
+    EXPECT_DOUBLE_EQ(report.total_stats.variance(), reference.totals.variance());
+    EXPECT_EQ(report.hits_per_core, reference.per_core);
 }
 
 } // namespace

@@ -6,10 +6,12 @@
 Prints a table of real-time ratios (current / baseline) for every
 benchmark present in both files, highlighting the key benchmarks the
 perf trajectory tracks (end-to-end explore, evaluation hot paths) by
-default. When the two runs come from different hosts (the `num_cpus` or
-`mhz_per_cpu` fields of the files' `context` differ), a `host mismatch:`
-line naming each differing field precedes the table, since such ratios
-compare machines as much as code. Informational only — exits 0 regardless of regressions, since
+default, then names the benchmarks found in only one of the files
+("new benchmarks" / "dropped benchmarks"). When the two runs come from
+different hosts (the `num_cpus` or `mhz_per_cpu` fields of the files'
+`context` differ), a `host mismatch:` line naming each differing field
+precedes the table, since such ratios compare machines as much as
+code. Informational only — exits 0 regardless of regressions, since
 shared CI runners are too noisy to gate on; the table in the job log is
 the artifact.
 """
@@ -94,8 +96,13 @@ def main():
         mark = " *" if key.search(name) else ""
         print(f"{name:<{width}}  {fmt(base_t)}  {fmt(cur_t)}  {ratio:>6.2f}x{mark}")
     only_new = sorted(set(current) - set(baseline))
+    dropped = sorted(set(baseline) - set(current))
+    if only_new or dropped:
+        print()
     if only_new:
-        print(f"\nnew benchmarks (no baseline): {', '.join(only_new)}")
+        print(f"new benchmarks (no baseline): {', '.join(only_new)}")
+    if dropped:
+        print(f"dropped benchmarks (baseline only): {', '.join(dropped)}")
     print("\n(* = key perf-trajectory benchmark; ratio < 1 is faster than baseline)")
     return 0
 
