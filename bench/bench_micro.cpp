@@ -10,6 +10,8 @@
 
 #include "api/scenarios.h"
 #include "core/initial_mapping.h"
+#include "core/lazy_scaling_queue.h"
+#include "core/scaling_bounds.h"
 #include "sim/campaign.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
@@ -399,6 +401,28 @@ BENCHMARK(bm_explore_scale_tgff)
     ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
+
+// The explorer's producer alone on the giant instance (64 cores x 3
+// levels, 2145 slots): build the bounds model, pop the whole lazy queue
+// (every generated slot's corner) and take each gate passer's case
+// list, as explore() does before admitting it to the ledger.
+void bm_scaling_bounds(benchmark::State& state) {
+    const Problem problem = scale_problem(1000, 64, 3, 1);
+    std::size_t cases = 0;
+    for (auto _ : state) {
+        const ScalingBoundsModel model(problem.graph(), problem.architecture(),
+                                       problem.deadline_seconds(), problem.ser_model(),
+                                       problem.exposure_policy());
+        LazyScalingQueue queue(problem.graph(), problem.architecture(),
+                               problem.deadline_seconds(), &model);
+        cases = 0;
+        while (const auto slot = queue.pop())
+            if (slot->gate_passed) cases += model.case_bounds_for(slot->levels).size();
+        benchmark::DoNotOptimize(cases);
+    }
+    state.counters["cases"] = static_cast<double>(cases);
+}
+BENCHMARK(bm_scaling_bounds)->Unit(benchmark::kMillisecond);
 
 void bm_scaling_enumeration(benchmark::State& state) {
     const auto cores = static_cast<std::size_t>(state.range(0));

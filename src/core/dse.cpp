@@ -303,11 +303,12 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
 
     // --- produce + run ------------------------------------------------
     // The producer (this thread) pops slots from the lazy queue while
-    // the pool runs searches. For each gate-passing pop it recomputes
-    // the per-case bounds, waits until the replay covers the disposal
-    // window, and admits the slot to the ledger, which restores it from
-    // the checkpoint, disposes of it (provably dominated — counted
-    // pruned, never searched) or lets it be searched.
+    // the pool runs searches. For each gate-passing pop it reads the
+    // slot's Pareto-minimal case bounds, waits until the replay covers
+    // the disposal window, and admits the slot to the ledger, which
+    // restores it from the checkpoint, disposes of it (provably
+    // dominated — counted pruned, never searched) or lets it be
+    // searched.
     if (!stop.stop_requested()) {
         ThreadPool pool(ThreadPool::resolve_thread_count(params.num_threads));
         const DseSlotRecord disposed_verdict; // kind pruned
@@ -323,7 +324,8 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             }
             // The queue only kept the corner (storing every generated
             // node's case list would defeat the lazy memory bound);
-            // the full per-case list is recomputed for the pop.
+            // the Pareto-minimal case list is read off the model's
+            // case table for the pop.
             std::vector<ScalingBounds> cases;
             if (bounds_model) cases = bounds_model->case_bounds_for(popped->levels);
             ReplayLedger::Admission admission;

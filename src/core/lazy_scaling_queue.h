@@ -5,8 +5,8 @@
 // bound, expanding successors over the Fig. 5 neighbor structure
 // (decrement one level) with a visited bitmap for dedup. At 10^4+ slot
 // spaces this keeps memory proportional to the expansion frontier and
-// lets the explorer dispose of dominated slots before their (per-case
-// exponential) bound lists or searches are ever stored.
+// lets the explorer dispose of dominated slots before their
+// Pareto-minimal case lists or searches are ever stored.
 //
 // Ordering contract. pop() returns every combination exactly once, in
 // ascending (corner power lower bound, enumeration rank) order *over
@@ -58,33 +58,23 @@ namespace seamap {
 /// dominated it stays dominated under any later insertions.
 class DominanceFront {
 public:
-    void insert(double power, double gamma) {
-        // First staircase point with power >= the new one.
-        auto at = std::lower_bound(points_.begin(), points_.end(),
-                                   std::pair<double, double>{power, -1.0});
-        if (at != points_.begin() && std::prev(at)->second <= gamma)
-            return; // weakly dominated by a cheaper point
-        if (at != points_.end() && exactly_equal(at->first, power) && at->second <= gamma)
-            return; // weakly dominated at equal power
-        auto last = at;
-        while (last != points_.end() && last->second >= gamma) ++last;
-        at = points_.erase(at, last);
-        points_.insert(at, {power, gamma});
-    }
+    void insert(double power, double gamma) { insert_into_staircase(points_, {power, gamma}); }
 
     /// True when some incumbent strictly beats (power_lb, gamma_lb) in
     /// both objectives.
     bool dominates(const ScalingBounds& bounds) const {
         // Last staircase point with power < power_lb carries the
         // minimum gamma among all of them.
-        auto at = std::lower_bound(points_.begin(), points_.end(),
-                                   std::pair<double, double>{bounds.power_mw_lb, -1.0});
+        auto at = std::lower_bound(points_.begin(), points_.end(), bounds.power_mw_lb,
+                                   [](const ScalingBounds& p, double power) {
+                                       return p.power_mw_lb < power;
+                                   });
         if (at == points_.begin()) return false;
-        return std::prev(at)->second < bounds.gamma_lb;
+        return std::prev(at)->gamma_lb < bounds.gamma_lb;
     }
 
 private:
-    std::vector<std::pair<double, double>> points_;
+    std::vector<ScalingBounds> points_;
 };
 
 /// Priority-queue generator of the Fig. 5 sequence (see file comment).

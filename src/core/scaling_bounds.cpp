@@ -1,9 +1,10 @@
 #include "core/scaling_bounds.h"
 
 #include "sched/list_scheduler.h"
+#include "util/float_compare.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
@@ -19,7 +20,43 @@ namespace {
 constexpr double k_deadline_slack = 1.0 + 1e-9;
 constexpr double k_bound_shave = 1.0 - 1e-9;
 
+/// Pointwise-minimum fold over cases: zero bounds until the first one.
+class CornerFold {
+public:
+    void add(const ScalingBounds& bounds) {
+        if (!any_) {
+            corner_ = bounds;
+            any_ = true;
+            return;
+        }
+        corner_.power_mw_lb = std::min(corner_.power_mw_lb, bounds.power_mw_lb);
+        corner_.gamma_lb = std::min(corner_.gamma_lb, bounds.gamma_lb);
+    }
+    const ScalingBounds& corner() const { return corner_; }
+
+private:
+    ScalingBounds corner_;
+    bool any_ = false;
+};
+
 } // namespace
+
+void insert_into_staircase(std::vector<ScalingBounds>& staircase, const ScalingBounds& point) {
+    // First staircase point with power >= the new one.
+    auto at = std::lower_bound(staircase.begin(), staircase.end(), point.power_mw_lb,
+                               [](const ScalingBounds& p, double power) {
+                                   return p.power_mw_lb < power;
+                               });
+    if (at != staircase.begin() && std::prev(at)->gamma_lb <= point.gamma_lb)
+        return; // weakly dominated by a cheaper point
+    if (at != staircase.end() && exactly_equal(at->power_mw_lb, point.power_mw_lb) &&
+        at->gamma_lb <= point.gamma_lb)
+        return; // weakly dominated at equal power
+    auto last = at;
+    while (last != staircase.end() && last->gamma_lb >= point.gamma_lb) ++last;
+    at = staircase.erase(at, last);
+    staircase.insert(at, point);
+}
 
 ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchitecture& arch,
                                        double deadline_seconds, const SerModel& ser,
@@ -80,6 +117,53 @@ ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchit
         energy_per_cycle_mws_.push_back(power.core_energy_per_cycle_mws(level));
         ser_per_bit_second_.push_back(ser.ser_per_bit_second(table.vdd(level)));
     }
+    build_case_table(arch.core_count());
+}
+
+void ScalingBoundsModel::build_case_table(std::size_t core_count) {
+    if (tm_bound_.total_exec_cycles <= 0.0 || deadline_seconds_ <= 0.0) return;
+    const std::size_t level_count = frequency_hz_.size();
+    // C(C+L, L) as C(C+j, j) for j = 1..L, stopping once past the cap
+    // (the running value only grows, and stays far from overflow).
+    std::size_t entries = 1;
+    for (std::size_t j = 1; j <= level_count && entries <= k_case_table_cap; ++j)
+        entries = entries * (core_count + j) / j;
+    if (entries > k_case_table_cap) return;
+
+    // case_offset_[k][s] = C(s + k, k + 1): C(s, 1) = s at k = 0, then
+    // Pascal's rule C(s + k, k + 1) = C(s + k - 1, k) + C(s + k - 1, k + 1).
+    offset_stride_ = core_count + 1;
+    case_offset_.assign(level_count * offset_stride_, 0);
+    for (std::size_t s = 1; s <= core_count; ++s) case_offset_[s] = s;
+    for (std::size_t k = 1; k < level_count; ++k)
+        for (std::size_t s = 1; s <= core_count; ++s)
+            case_offset_[k * offset_stride_ + s] = case_offset_[(k - 1) * offset_stride_ + s] +
+                                                   case_offset_[k * offset_stride_ + s - 1];
+
+    case_table_.resize(entries);
+    case_admissible_.assign(entries, false);
+    // Odometer over every count vector with sum <= C, level index 0
+    // fastest.
+    CaseCounts counts(level_count, 0);
+    PoweredLevels powered;
+    std::size_t sum = 0;
+    for (;;) {
+        std::size_t index = 0;
+        std::size_t prefix = 0;
+        for (std::size_t k = 0; k < level_count; ++k) {
+            prefix += counts[k];
+            index += case_offset_[k * offset_stride_ + prefix];
+        }
+        case_admissible_[index] = evaluate_case(counts, powered, case_table_[index]);
+        std::size_t k = 0;
+        while (k < level_count && sum == core_count) {
+            sum -= counts[k];
+            counts[k++] = 0;
+        }
+        if (k == level_count) break;
+        ++counts[k];
+        ++sum;
+    }
 }
 
 double ScalingBoundsModel::min_union_bits_covering(double cycles) const {
@@ -95,8 +179,7 @@ double ScalingBoundsModel::min_union_bits_covering(double cycles) const {
     return prev_bits + step_bits * (cycles - prev_cycles) / step_cycles;
 }
 
-ScalingBounds ScalingBoundsModel::case_bounds(
-    const std::vector<std::pair<std::size_t, std::size_t>>& powered) const {
+ScalingBounds ScalingBoundsModel::case_bounds(const PoweredLevels& powered) const {
     const double deadline = deadline_seconds_ * k_deadline_slack;
     ScalingBounds bounds;
 
@@ -191,78 +274,85 @@ ScalingBounds ScalingBoundsModel::case_bounds(
     return bounds;
 }
 
+bool ScalingBoundsModel::evaluate_case(const CaseCounts& counts, PoweredLevels& powered,
+                                       ScalingBounds& out) const {
+    powered.clear();
+    double rough_cap = 0.0;
+    for (std::size_t l = 0; l < counts.size(); ++l) {
+        if (counts[l] == 0) continue;
+        powered.emplace_back(l, counts[l]);
+        rough_cap += static_cast<double>(counts[l]) * frequency_hz_[l] * deadline_seconds_ *
+                     k_deadline_slack * k_deadline_slack * k_deadline_slack;
+    }
+    // A case without the capacity for the work cannot be powered by
+    // any feasible design; the exact per-case capacity is never larger
+    // than this rough one, but the fractional knapsack leaving
+    // `remaining` work unplaced proves the same thing, so filter on the
+    // rough capacity only (cheap and sound both ways: extra cases only
+    // make the pruning test stricter).
+    if (rough_cap < tm_bound_.total_exec_cycles) return false;
+    out = case_bounds(powered);
+    return true;
+}
+
+template <class Visit>
+void ScalingBoundsModel::for_each_case(const ScalingVector& levels, Visit visit) const {
+    arch_.validate_scaling(levels);
+    if (tm_bound_.total_exec_cycles <= 0.0 || deadline_seconds_ <= 0.0) return;
+    const std::size_t level_count = frequency_hz_.size();
+    CaseCounts slot(level_count, 0); // n: the combination's cores per level
+    for (const ScalingLevel level : levels) ++slot[static_cast<std::size_t>(level) - 1];
+
+    // Odometer over c <= n on the leading levels; the last level runs
+    // innermost, where only its own index term moves. c = 0 never has
+    // the capacity for positive work, so it is never visited.
+    const std::size_t last = level_count - 1;
+    const bool tabled = !case_table_.empty();
+    CaseCounts counts(level_count, 0);
+    PoweredLevels powered;
+    ScalingBounds bounds;
+    for (;;) {
+        std::size_t base = 0;
+        std::size_t prefix = 0;
+        for (std::size_t k = 0; k < last; ++k) {
+            prefix += counts[k];
+            if (tabled) base += case_offset_[k * offset_stride_ + prefix];
+        }
+        for (counts[last] = 0; counts[last] <= slot[last]; ++counts[last]) {
+            if (tabled) {
+                const std::size_t index =
+                    base + case_offset_[last * offset_stride_ + prefix + counts[last]];
+                if (case_admissible_[index]) visit(case_table_[index]);
+            } else if (evaluate_case(counts, powered, bounds)) {
+                visit(bounds);
+            }
+        }
+        std::size_t k = 0;
+        while (k < last && counts[k] == slot[k]) counts[k++] = 0;
+        if (k == last) break;
+        ++counts[k];
+    }
+}
+
 std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
     const ScalingVector& levels) const {
-    arch_.validate_scaling(levels);
-    std::vector<ScalingBounds> cases;
-    if (tm_bound_.total_exec_cycles <= 0.0 || deadline_seconds_ <= 0.0) return cases;
-
-    // Distinct levels and their multiplicities; cores at one level are
-    // interchangeable, so a powered-core case is a count per level.
-    std::vector<std::pair<std::size_t, std::size_t>> groups; // (level-1, count)
-    {
-        ScalingVector sorted = levels;
-        std::sort(sorted.begin(), sorted.end());
-        for (const ScalingLevel level : sorted) {
-            const std::size_t l = static_cast<std::size_t>(level) - 1;
-            if (!groups.empty() && groups.back().first == l)
-                ++groups.back().second;
-            else
-                groups.emplace_back(l, 1);
-        }
-    }
-
-    // Odometer over powered counts [0, n_l] per level group.
-    std::vector<std::size_t> counts(groups.size(), 0);
-    std::vector<std::pair<std::size_t, std::size_t>> powered;
-    const double min_cap_seconds = deadline_seconds_; // cheap pre-filter below
-    for (;;) {
-        std::size_t g = 0;
-        while (g < counts.size() && counts[g] == groups[g].second) {
-            counts[g] = 0;
-            ++g;
-        }
-        if (g == counts.size()) break;
-        ++counts[g];
-
-        powered.clear();
-        double rough_cap = 0.0;
-        for (std::size_t i = 0; i < groups.size(); ++i) {
-            if (counts[i] == 0) continue;
-            powered.emplace_back(groups[i].first, counts[i]);
-            rough_cap += static_cast<double>(counts[i]) *
-                         frequency_hz_[groups[i].first] * min_cap_seconds *
-                         k_deadline_slack * k_deadline_slack * k_deadline_slack;
-        }
-        // A case without the capacity for the work cannot be powered
-        // by any feasible design; the exact per-case capacity is never
-        // larger than this rough one, but the fractional knapsack
-        // leaving `remaining` work unplaced proves the same thing, so
-        // filter on the rough capacity only (cheap and sound both
-        // ways: extra cases only make the pruning test stricter).
-        if (rough_cap < tm_bound_.total_exec_cycles) continue;
-        cases.push_back(case_bounds(powered));
-    }
-    return cases;
+    std::vector<ScalingBounds> staircase;
+    for_each_case(levels, [&](const ScalingBounds& bounds) {
+        insert_into_staircase(staircase, bounds);
+    });
+    return staircase;
 }
 
 ScalingBounds ScalingBoundsModel::bounds_for(const ScalingVector& levels) const {
-    return corner_of(case_bounds_for(levels));
+    CornerFold fold;
+    for_each_case(levels, [&](const ScalingBounds& bounds) { fold.add(bounds); });
+    return fold.corner();
 }
 
 ScalingBounds ScalingBoundsModel::corner_of(const std::vector<ScalingBounds>& cases) {
-    ScalingBounds corner;
-    bool first = true;
-    for (const ScalingBounds& bounds : cases) {
-        if (first) {
-            corner = bounds;
-            first = false;
-            continue;
-        }
-        corner.power_mw_lb = std::min(corner.power_mw_lb, bounds.power_mw_lb);
-        corner.gamma_lb = std::min(corner.gamma_lb, bounds.gamma_lb);
-    }
-    return corner;
+    CornerFold fold;
+    for (const ScalingBounds& bounds : cases) fold.add(bounds);
+    return fold.corner();
 }
 
 } // namespace seamap

@@ -178,6 +178,24 @@ TEST_F(CliErrorsTest, InjectZeroTrialsIsInvalidArgument) {
     expect_contains(r.err, "error: ");
 }
 
+TEST_F(CliErrorsTest, InjectValidatesTrialsBeforeExploring) {
+    // No scaling meets this deadline, so exploring would end in exit 1:
+    // exit 2 shows --trials was rejected before the exploration ran.
+    const RunResult r =
+        run("inject " + fig8_path() + " --cores 2 --deadline 1e-9 --trials 0 --json");
+    EXPECT_EQ(r.status, 2);
+    expect_contains(r.out, "\"code\": \"invalid_argument\"");
+}
+
+TEST_F(CliErrorsTest, CampaignValidatesShardSizeBeforeExploring) {
+    const std::string ckpt = path_of("shard0.ckpt");
+    const RunResult r = run("campaign " + fig8_path() +
+                            " --cores 2 --shard-size 0 --checkpoint " + ckpt + " --json");
+    EXPECT_EQ(r.status, 2);
+    expect_contains(r.out, "\"code\": \"invalid_argument\"");
+    EXPECT_FALSE(std::filesystem::exists(ckpt + ".dse"));
+}
+
 TEST_F(CliErrorsTest, ResumeWithoutCheckpointIsUsageError) {
     const RunResult r = run("optimize " + fig8_path() + " --cores 2 --resume --json");
     EXPECT_EQ(r.status, 2);

@@ -8,13 +8,20 @@
 // (pruned best/pareto_front bit-identical to exhaustive) rests on.
 #include "core/scaling_bounds.h"
 
+#include "api/scenarios.h"
 #include "arch/scaling_enumerator.h"
+#include "core/lazy_scaling_queue.h"
 #include "reliability/design_eval.h"
 #include "sched/list_scheduler.h"
 #include "taskgraph/fig8.h"
+#include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
+#include "util/checkpoint.h"
+#include "util/float_compare.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
 #include <vector>
@@ -172,6 +179,143 @@ TEST(ScalingBounds, CornerIsPointwiseMinOverCases) {
             EXPECT_LE(corner.power_mw_lb, bounds.power_mw_lb);
             EXPECT_LE(corner.gamma_lb, bounds.gamma_lb);
         }
+    }
+}
+
+/// The minimal elements of `cases` (equal pairs once), power strictly
+/// ascending: a reference reduction by full sort, independent of the
+/// model's own staircase insertion.
+std::vector<ScalingBounds> pareto_staircase(std::vector<ScalingBounds> cases) {
+    std::sort(cases.begin(), cases.end(), [](const ScalingBounds& a, const ScalingBounds& b) {
+        if (a.power_mw_lb < b.power_mw_lb) return true;
+        if (b.power_mw_lb < a.power_mw_lb) return false;
+        return a.gamma_lb < b.gamma_lb;
+    });
+    std::vector<ScalingBounds> staircase;
+    for (const ScalingBounds& bounds : cases)
+        if (staircase.empty() || bounds.gamma_lb < staircase.back().gamma_lb)
+            staircase.push_back(bounds);
+    return staircase;
+}
+
+ScalingBoundsModel model_of(const Problem& problem) {
+    return ScalingBoundsModel(problem.graph(), problem.architecture(),
+                              problem.deadline_seconds(), problem.ser_model(),
+                              problem.exposure_policy());
+}
+
+/// Power strictly ascending, gamma strictly descending.
+void expect_staircase(const std::vector<ScalingBounds>& cases) {
+    for (std::size_t i = 1; i < cases.size(); ++i) {
+        EXPECT_LT(cases[i - 1].power_mw_lb, cases[i].power_mw_lb);
+        EXPECT_GT(cases[i - 1].gamma_lb, cases[i].gamma_lb);
+    }
+}
+
+void expect_staircases_over_all_scalings(const TaskGraph& graph, const MpsocArchitecture& arch,
+                                         double deadline_seconds) {
+    const ScalingBoundsModel model(graph, arch, deadline_seconds, SerModel{},
+                                   ExposurePolicy::full_duration);
+    std::size_t non_empty = 0;
+    ScalingEnumerator enumerator(arch.core_count(), arch.scaling_table().level_count());
+    while (auto levels = enumerator.next()) {
+        const std::vector<ScalingBounds> cases = model.case_bounds_for(*levels);
+        expect_staircase(cases);
+        if (!cases.empty()) ++non_empty;
+    }
+    EXPECT_GT(non_empty, 0u);
+}
+
+TEST(ScalingBounds, CaseListIsAParetoStaircase) {
+    {
+        const TaskGraph graph = fig8_example_graph();
+        const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
+        expect_staircases_over_all_scalings(
+            graph, arch, 1.5 * tm_lower_bound_seconds(graph, arch, {1, 1, 1}));
+    }
+    {
+        const MpsocArchitecture arch(6, VoltageScalingTable::arm7_three_level());
+        expect_staircases_over_all_scalings(mpeg2_decoder_graph(), arch,
+                                            mpeg2_deadline_seconds());
+    }
+    const Problem problem = scale_acceptance_problem();
+    const ScalingBoundsModel model = model_of(problem);
+    LazyScalingQueue queue(problem.graph(), problem.architecture(), problem.deadline_seconds(),
+                           &model);
+    std::size_t multi_case = 0;
+    while (const auto slot = queue.pop()) {
+        if (!slot->gate_passed) continue;
+        const std::vector<ScalingBounds> cases = model.case_bounds_for(slot->levels);
+        expect_staircase(cases);
+        if (cases.size() > 1) ++multi_case;
+    }
+    EXPECT_GT(multi_case, 0u);
+}
+
+TEST(ScalingBounds, CornersAndMinimalCasesMatchTheParent) {
+    // Every gate-passing slot of the acceptance instance, in pop order:
+    // rank, corner, and the minimal elements of the case list, hashed
+    // bit for bit. The literal was taken before the case table existed,
+    // when case_bounds_for returned every admissible case and the same
+    // reduction ran over all of them.
+    const Problem problem = scale_acceptance_problem();
+    const ScalingBoundsModel model = model_of(problem);
+    LazyScalingQueue queue(problem.graph(), problem.architecture(), problem.deadline_seconds(),
+                           &model);
+    HashStream hash;
+    std::size_t gate_passers = 0;
+    while (const auto slot = queue.pop()) {
+        if (!slot->gate_passed) continue;
+        ++gate_passers;
+        hash.mix(slot->rank);
+        hash.mix_double(slot->corner.power_mw_lb);
+        hash.mix_double(slot->corner.gamma_lb);
+        const std::vector<ScalingBounds> staircase =
+            pareto_staircase(model.case_bounds_for(slot->levels));
+        hash.mix(staircase.size());
+        for (const ScalingBounds& bounds : staircase) {
+            hash.mix_double(bounds.power_mw_lb);
+            hash.mix_double(bounds.gamma_lb);
+        }
+    }
+    EXPECT_EQ(gate_passers, 5862u);
+    EXPECT_EQ(hex_of_u64(hash.value()), "45444d9ddae278f2");
+}
+
+TEST(ScalingBounds, CaseTableHoldsOneEntryPerCountVector) {
+    // C(C+L, L) entries of 16 bytes: the table's whole memory cost.
+    // C(67, 3) for 64 cores x 3 levels, C(22, 6) for 16 x 6.
+    EXPECT_EQ(model_of(scale_problem(1000, 64, 3, 1)).case_table_entries(), 47'905u);
+    EXPECT_EQ(model_of(scale_acceptance_problem()).case_table_entries(), 74'613u);
+    const TaskGraph graph = fig8_example_graph();
+    const MpsocArchitecture six_by_four(6, VoltageScalingTable::arm7_four_level());
+    const ScalingBoundsModel small(graph, six_by_four,
+                                   1.5 * tm_lower_bound_seconds(graph, six_by_four,
+                                                                ScalingVector(6, 1)),
+                                   SerModel{}, ExposurePolicy::full_duration);
+    EXPECT_EQ(small.case_table_entries(), 210u); // C(10, 4)
+    // 64 cores x 5 levels: C(69, 5) = 11.2M entries, past the cap.
+    EXPECT_EQ(model_of(scale_problem(100, 64, 5, 1)).case_table_entries(), 0u);
+}
+
+TEST(ScalingBounds, OverCapModelStillReturnsStaircasesWithTheCorner) {
+    // Cores per level, fastest first; each combination passes the T_M
+    // gate, so it has admissible cases.
+    const Problem problem = scale_problem(100, 64, 5, 1);
+    const ScalingBoundsModel model = model_of(problem);
+    ASSERT_EQ(model.case_table_entries(), 0u);
+    for (const auto& counts : std::vector<std::vector<std::size_t>>{
+             {64, 0, 0, 0, 0}, {32, 32, 0, 0, 0}, {48, 4, 4, 4, 4}, {40, 0, 8, 8, 8}}) {
+        ScalingVector levels;
+        for (std::size_t l = counts.size(); l-- > 0;)
+            levels.insert(levels.end(), counts[l], static_cast<ScalingLevel>(l + 1));
+        SCOPED_TRACE(::testing::PrintToString(counts));
+        const std::vector<ScalingBounds> cases = model.case_bounds_for(levels);
+        ASSERT_FALSE(cases.empty());
+        expect_staircase(cases);
+        const ScalingBounds corner = model.bounds_for(levels);
+        EXPECT_TRUE(exactly_equal(corner.power_mw_lb, cases.front().power_mw_lb));
+        EXPECT_TRUE(exactly_equal(corner.gamma_lb, cases.back().gamma_lb));
     }
 }
 

@@ -475,6 +475,18 @@ int cmd_inject(const ArgList& args) {
     const Problem problem = problem_from(args, positional[0]);
     const std::uint64_t trials = args.u64("--trials", 200);
     const std::uint64_t seed = args.u64("--seed", 1);
+    // inject is the register-file-only campaign: with the pipeline and
+    // memory weights at 0 every trial draws exactly the eq. (3) exposure
+    // profile, so the measured mean fluctuates around the analytic Gamma.
+    // The engine validates its settings, so it is built before a bad
+    // --trials can waste an exploration.
+    CampaignConfig config;
+    config.trials = trials;
+    config.num_threads = args.u64("--threads", 1);
+    config.seed = seed;
+    config.weights.pipeline = 0.0;
+    config.weights.memory = 0.0;
+    const CampaignEngine engine(problem.ser_model(), config);
 
     const ExploreOptions options = explore_options(args, 4'000);
     const DseResult result = explore(problem, options);
@@ -500,18 +512,8 @@ int cmd_inject(const ArgList& args) {
     const DsePoint& best = *result.best;
     const Schedule schedule = ListScheduler{}.schedule(problem.graph(), best.mapping,
                                                        problem.architecture(), best.levels);
-    // inject is the register-file-only campaign: with the pipeline and
-    // memory weights at 0 every trial draws exactly the eq. (3) exposure
-    // profile, so the measured mean fluctuates around the analytic Gamma.
-    CampaignConfig config;
-    config.trials = trials;
-    config.num_threads = args.u64("--threads", 1);
-    config.seed = seed;
-    config.weights.pipeline = 0.0;
-    config.weights.memory = 0.0;
-    const CampaignReport campaign =
-        CampaignEngine(problem.ser_model(), config)
-            .run(problem.graph(), best.mapping, problem.architecture(), best.levels, schedule);
+    const CampaignReport campaign = engine.run(problem.graph(), best.mapping,
+                                               problem.architecture(), best.levels, schedule);
     const ExactMoments& seus = campaign.total_stats;
     // min/max stay doubles so the report keeps its number rendering.
     const double min_seus = static_cast<double>(seus.min());
@@ -550,6 +552,21 @@ int cmd_campaign(const ArgList& args) {
 
     const ExploreOptions options = explore_options(args, 4'000);
 
+    // The engine validates its settings: built first, a bad --trials or
+    // --shard-size fails before any exploration or snapshot.
+    CampaignConfig config;
+    config.trials = args.u64("--trials", 20'000);
+    config.shard_size = args.u64("--shard-size", 1024);
+    config.num_threads = args.u64("--threads", 1);
+    config.seed = seed;
+    config.policy = parse_sim_policy(args.value("--policy").value_or("full"));
+    config.weights.register_file =
+        args.real("--weight-register", config.weights.register_file);
+    config.weights.pipeline = args.real("--weight-pipeline", config.weights.pipeline);
+    config.weights.memory = args.real("--weight-memory", config.weights.memory);
+    config.pipeline_bits = args.real("--pipeline-bits", config.pipeline_bits);
+    const CampaignEngine engine(problem.ser_model(), config);
+
     // Two snapshots ride one --checkpoint stem: <FILE>.dse for the
     // exploration (a completed snapshot doubles as a memoized explore on
     // resume) and <FILE>.sim for the campaign's shard partials.
@@ -586,19 +603,6 @@ int cmd_campaign(const ArgList& args) {
     const MpsocArchitecture& arch = problem.architecture();
     const Schedule schedule =
         ListScheduler{}.schedule(graph, best.mapping, arch, best.levels);
-
-    CampaignConfig config;
-    config.trials = args.u64("--trials", 20'000);
-    config.shard_size = args.u64("--shard-size", 1024);
-    config.num_threads = args.u64("--threads", 1);
-    config.seed = seed;
-    config.policy = parse_sim_policy(args.value("--policy").value_or("full"));
-    config.weights.register_file =
-        args.real("--weight-register", config.weights.register_file);
-    config.weights.pipeline = args.real("--weight-pipeline", config.weights.pipeline);
-    config.weights.memory = args.real("--weight-memory", config.weights.memory);
-    config.pipeline_bits = args.real("--pipeline-bits", config.pipeline_bits);
-    const CampaignEngine engine(problem.ser_model(), config);
 
     std::optional<CampaignCheckpointer> sim_ckpt;
     if (ckpt.path) {
